@@ -4,7 +4,9 @@ configuration generation, and scenario probes.
 Coordination is checked two ways on recorded trajectories: through the drift
 of relative positions (central finite differences of their embedding
 coordinates) and through velocity disagreement; the two criteria agree for
-converged runs.
+converged runs.  Both run over every unordered agent pair, taken as index
+arrays from np.triu_indices in chunks of PAIR_CHUNK pairs, so the check
+holds O(PAIR_CHUNK x samples) temporaries at any swarm size.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import numpy as np
 
 from .lie import matvec
 from .groups import SE2, SE3, get_group, rot2
-from .graphs import CommGraph, all_pairs
+from .graphs import CommGraph
 from .simulator import InitSpec, ScenarioConfig, run
 from . import groups as _groups
 
 RANK_REL_TOL = 1e-9
+PAIR_CHUNK = 2048
 
 
 class AnalysisError(ValueError):
@@ -40,6 +43,8 @@ class CoordinationReport:
     xi_l_disagreement: float   # max pairwise body-velocity gap
     tol: float
     window: float
+    lambda_pair: tuple[int, int] | None = None   # agents (j, k), j < k, of the max drift
+    lambda_time: float | None = None             # sample time of the max drift
 
     @property
     def lic_by_position(self):
@@ -58,29 +63,55 @@ class CoordinationReport:
         return self.rho_drift < self.tol
 
     def format(self):
+        pair = "-" if self.lambda_pair is None else "%d,%d" % self.lambda_pair
+        at = "-" if self.lambda_time is None else f"{self.lambda_time:.6f}"
         return (
             f"mode={self.mode} achieved={self.achieved} tol={self.tol:g} window={self.window:g}\n"
             f"lambda_drift={self.lambda_drift:.6e} rho_drift={self.rho_drift:.6e}\n"
             f"xi_r_disagreement={self.xi_r_disagreement:.6e} "
-            f"xi_l_disagreement={self.xi_l_disagreement:.6e}"
+            f"xi_l_disagreement={self.xi_l_disagreement:.6e}\n"
+            f"lambda_worst_pair={pair} lambda_worst_t={at}"
         )
 
 
+def _worst_pair(n, norms):
+    """Largest entry of norms(j, k) over all agent pairs j < k.
+
+    norms maps the index arrays (j, k) of one chunk of pairs to an (S, P)
+    array of non-negative values.  Returns (value, (j, k), sample index), or
+    (0.0, None, None) when there is no pair or no sample.  A NaN wins, so a
+    trajectory with non-finite values never reads as coordinated.
+    """
+    best, pair, sample = -np.inf, None, None
+    j_all, k_all = np.triu_indices(n, 1)
+    for lo in range(0, len(j_all), PAIR_CHUNK):
+        j, k = j_all[lo:lo + PAIR_CHUNK], k_all[lo:lo + PAIR_CHUNK]
+        r = norms(j, k)
+        if r.size == 0:
+            break
+        s, p = np.unravel_index(int(np.argmax(r)), r.shape)
+        v = float(r[s, p])
+        if v > best or (np.isnan(v) and not np.isnan(best)):
+            best, pair, sample = v, (int(j[p]), int(k[p])), int(s)
+    return (0.0, None, None) if pair is None else (best, pair, sample)
+
+
 def _max_pair_drift(group, g, times, relative):
-    """Max central-difference drift rate of pairwise relative positions."""
-    n = g.shape[1]
-    worst = 0.0
-    for j, k in all_pairs(n):
-        rel = relative(g[:, k], g[:, j])
-        emb = group.embed(rel)
-        d = (emb[2:] - emb[:-2]) / (times[2:] - times[:-2])[:, None]
-        worst = max(worst, float(np.max(np.linalg.norm(d, axis=-1))) if len(d) else 0.0)
-    return worst
+    """Max central-difference drift rate of pairwise relative positions, with
+    the pair and the sample time where it occurs."""
+    dt = (times[2:] - times[:-2])[:, None, None]
+
+    def drift(j, k):
+        emb = group.embed(relative(g[:, k], g[:, j]))
+        return np.linalg.norm((emb[2:] - emb[:-2]) / dt, axis=-1)
+
+    worst, pair, i = _worst_pair(g.shape[1], drift)
+    return worst, pair, None if i is None else float(times[i + 1])
 
 
 def _max_pair_gap(x):
-    d = x[:, :, None, :] - x[:, None, :, :]
-    return float(np.max(np.linalg.norm(d, axis=-1)))
+    """Max pairwise distance between per-agent vectors x (S, N, n)."""
+    return _worst_pair(x.shape[1], lambda j, k: np.linalg.norm(x[:, k] - x[:, j], axis=-1))[0]
 
 
 def check_coordination(traj, mode, window=1.0, tol=1e-3):
@@ -102,20 +133,18 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
     xi = traj.xi[sel]
     t_win = times[sel]
 
-    lam = _max_pair_drift(group, g, t_win, group.left_relative)
-    rho = _max_pair_drift(group, g, t_win, group.right_relative)
-    if traj.n_agents > 1:
-        xi_r_gap = _max_pair_gap(group.adjoint(g, xi))
-        xi_l_gap = _max_pair_gap(xi)
-    else:
-        xi_r_gap = xi_l_gap = 0.0
+    lam, lam_pair, lam_t = _max_pair_drift(group, g, t_win, group.left_relative)
+    rho = _max_pair_drift(group, g, t_win, group.right_relative)[0]
+    xi_r_gap = _max_pair_gap(group.adjoint(g, xi))
+    xi_l_gap = _max_pair_gap(xi)
 
     achieved = {
         "lic": lam < tol,
         "ric": xi_l_gap < tol,
         "tc": (lam < tol) and (xi_l_gap < tol),
     }[mode]
-    return CoordinationReport(mode, achieved, lam, rho, xi_r_gap, xi_l_gap, tol, window)
+    return CoordinationReport(mode, achieved, lam, rho, xi_r_gap, xi_l_gap, tol, window,
+                              lam_pair, lam_t)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Every law is a pure right-hand-side function: it returns the commanded
 left-invariant velocities xi (N, n) and the time derivatives of any auxiliary
-variables, without integrating anything.  Neighbor sums run over sorted ids
-through the graph's in-matrix, so results are deterministic.
+variables, without integrating anything.  Neighbour sums are dense products
+with the in-matrix and in-degrees from CommGraph.in_terms: at every swarm size
+benchmarked (4 to 256 agents) the matmul costs less than a scatter-add
+(np.add.at) over the edge list, and its fixed summation order keeps results
+deterministic.
 """
 
 from __future__ import annotations
@@ -106,14 +109,10 @@ def project_to_C(eta, cs):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _graph_terms(graph, t):
-    return graph.in_terms(t)
-
-
 def ric_consensus_rhs(xi, graph, t=0.0):
     """Vector-space consensus on the body velocities: dxi_k = sum_j (xi_j - xi_k)."""
     xi = np.asarray(xi, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     return A @ xi - deg[:, None] * xi
 
 
@@ -124,7 +123,7 @@ def lic_consensus_rhs(group, g, xi, graph, t=0.0):
     velocities Ad_{g_k} xi_k then satisfy plain consensus.
     """
     xi = np.asarray(xi, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     xi_r = group.adjoint(g, xi)
     pulled = group.adjoint(group.inverse(g), A @ xi_r)
     return pulled - deg[:, None] * xi
@@ -146,7 +145,7 @@ def tc_right_cascade_rhs(group, g, eta, graph, t=0.0):
     Fully actuated agents only.  Returns (xi, deta).
     """
     eta = np.asarray(eta, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     disagree = deg[:, None] * eta - A @ eta
     q = -group.pairing(eta, disagree)
     xi = eta + q
@@ -164,7 +163,7 @@ def tc_left_cascade_rhs(group, g, eta, graph, t=0.0, cs=None):
     eta_k must start inside C.  Returns (xi, deta).
     """
     eta = np.asarray(eta, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     disagree = deg[:, None] * eta - _transported_sum(group, g, eta, A)
     q = group.pairing(eta, disagree)
     if cs is not None and not cs.fully_actuated:
@@ -185,7 +184,7 @@ def double_bracket_rhs(group, eta_k, eta_neighbors):
 def double_bracket_field(group, eta, graph, t=0.0):
     """Double-bracket flow of all agents at once."""
     eta = np.asarray(eta, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     s = deg[:, None] * eta - A @ eta
     return group.bracket(eta, group.bracket(eta, s))
 
@@ -209,7 +208,7 @@ def underactuated_lic_rhs(group, g, eta, graph, t=0.0, cs=None):
     if cs is None:
         raise ControllerError("underactuated coordination needs a control setting")
     eta = np.asarray(eta, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     pi = cs.project(eta)
     resid = eta - pi
     q = -lyapunov_gradient_vector(group, eta, cs)
@@ -268,7 +267,7 @@ def se3_steering_consensus_linear_rhs(g, eta_v, graph, t=0.0, u=None):
     so the spatial images Q_k eta_v,k run plain consensus.
     """
     eta_v = np.asarray(eta_v, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     Q = SE3.rotation(g)
     spatial = matvec(Q, eta_v)
     pulled = matvec(np.swapaxes(Q, -1, -2), A @ spatial)
@@ -290,7 +289,7 @@ def se3_steering_consensus_helical_rhs(g, alpha, beta, gamma, graph, t=0.0, u=No
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    A, deg = _graph_terms(graph, t)
+    A, deg = graph.in_terms(t)
     Q = SE3.rotation(g)
     Qt = np.swapaxes(Q, -1, -2)
     r = SE3.position(g)
@@ -483,7 +482,7 @@ class TcRightFrozenReferenceController(Controller):
 
     def output(self, state, graph):
         eta = self.eta(state)
-        A, deg = _graph_terms(graph, state.t)
+        A, deg = graph.in_terms(state.t)
         disagree = deg[:, None] * eta - A @ eta
         q = -self.group.pairing(eta, disagree)
         return ControllerOutput(eta + q)
@@ -626,7 +625,7 @@ class VtGradientExperimentalController(Controller):
 
     def output(self, state, graph):
         xi = state.aux["xi"]
-        A, deg = _graph_terms(graph, state.t)
+        A, deg = graph.in_terms(state.t)
         plain = A @ xi - deg[:, None] * xi
         pulled = _transported_sum(self.group, state.g, xi, A) - deg[:, None] * xi
         return ControllerOutput(xi.copy(), {"xi": plain + pulled})

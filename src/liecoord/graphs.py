@@ -4,11 +4,14 @@ An edge (j, k) means agent j sends information to agent k.  Schedules are
 piecewise constant: breakpoints t_0 = 0 < t_1 < ... with one edge set per
 segment; an optional period makes the schedule repeat.  Graphs are immutable
 after construction.
+
+Each segment keeps its edges in two forms, both built once at construction:
+index arrays (src, dst) sorted by (dst, src), which the disagreement metrics
+sum over in O(E n), and the dense in-matrix built from them, which the
+controllers' per-step neighbour sums multiply with (see controllers).
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -49,7 +52,8 @@ class CommGraph:
         self.period = None if period is None else float(period)
         if self.period is not None and self.period <= times[-1]:
             raise GraphError("period must exceed the last breakpoint")
-        self._matrices = [self._build_matrix(es) for es in self.edge_sets]
+        self._edges = tuple(_edge_arrays(es) for es in self.edge_sets)
+        self._matrices = [self._build_matrix(src, dst) for src, dst in self._edges]
         self._degrees = [A.sum(axis=1) for A in self._matrices]
 
     # -- constructors ---------------------------------------------------------
@@ -91,11 +95,15 @@ class CommGraph:
     def edges_at(self, t):
         return self.edge_sets[self._segment_index(t)]
 
-    def _build_matrix(self, edges):
+    def _build_matrix(self, src, dst):
         A = np.zeros((self.n, self.n))
-        for j, k in edges:
-            A[k, j] = 1.0
+        A[dst, src] = 1.0
         return A
+
+    def edge_arrays(self, t=0.0):
+        """Index arrays (src, dst) of the edges active at time t, sorted by
+        (dst, src); edge e runs from agent src[e] to agent dst[e]."""
+        return self._edges[self._segment_index(t)]
 
     def in_matrix(self, t=0.0):
         """Matrix A with A[k, j] = 1 iff j sends to k at time t."""
@@ -228,6 +236,8 @@ def _reaches_all(n, edges, root):
     return len(seen) == n
 
 
-def all_pairs(n):
-    """Unordered agent pairs (j, k), j < k."""
-    return list(itertools.combinations(range(n), 2))
+def _edge_arrays(edges):
+    """(src, dst) intp arrays of an edge set, sorted by (dst, src)."""
+    pairs = np.array(sorted(edges, key=lambda e: (e[1], e[0])), dtype=np.intp)
+    src, dst = pairs.reshape(-1, 2).T.copy()
+    return src, dst

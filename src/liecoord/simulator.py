@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -166,10 +167,10 @@ class Trajectory:
 # metrics
 # ---------------------------------------------------------------------------
 
-def _pair_disagreement(A, x):
-    """sum_k sum_{j->k} ||x_k - x_j||^2 for per-agent vectors x."""
-    d = x[:, None, :] - x[None, :, :]
-    return float(np.einsum("kj,kji->", A, d * d))
+def _edge_disagreement(src, dst, x):
+    """sum over edges j->k of ||x_k - x_j||^2 for per-agent vectors x."""
+    d = x[dst] - x[src]
+    return float(np.einsum("ei,ei->", d, d))
 
 
 def metric_traces(group, g, xi, eta, graph, t, cs=None):
@@ -178,18 +179,22 @@ def metric_traces(group, g, xi, eta, graph, t, cs=None):
     V_r: body-velocity disagreement; V_l: spatial-velocity disagreement;
     V_tr / V_tl: the same halved costs on the auxiliary velocity eta (xi is
     used when the controller has no auxiliary velocity); V_k: per-agent
-    squared distance of eta_k from the feasible set, halved.
+    squared distance of eta_k from the feasible set, halved.  Each cost is a
+    sum over the edges j->k active at time t, in O(E n).
     """
-    A = graph.in_matrix(t)
+    src, dst = graph.edge_arrays(t)
     xi_r = group.adjoint(g, xi)
-    eta = xi if eta is None else np.asarray(eta, dtype=float)
-    eta_r = group.adjoint(g, eta)
     out = {
-        "V_r": _pair_disagreement(A, xi),
-        "V_l": _pair_disagreement(A, xi_r),
-        "V_tr": 0.5 * _pair_disagreement(A, eta),
-        "V_tl": 0.5 * _pair_disagreement(A, eta_r),
+        "V_r": _edge_disagreement(src, dst, xi),
+        "V_l": _edge_disagreement(src, dst, xi_r),
     }
+    if eta is None:
+        eta = xi
+        out["V_tr"], out["V_tl"] = 0.5 * out["V_r"], 0.5 * out["V_l"]
+    else:
+        eta = np.asarray(eta, dtype=float)
+        out["V_tr"] = 0.5 * _edge_disagreement(src, dst, eta)
+        out["V_tl"] = 0.5 * _edge_disagreement(src, dst, group.adjoint(g, eta))
     if cs is None:
         out["V_k"] = np.zeros(g.shape[0])
     else:
@@ -470,7 +475,10 @@ def read_trajectory_csv(path, group_name):
     group = get_group(group_name)
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a file without rows is reported below as a ConfigError
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
     n_payload = len(group.payload_columns)
     want = ["t", "agent"] + list(group.payload_columns) + [f"xi{i}" for i in range(group.dim)]
     if header[: len(want)] != want:
@@ -483,9 +491,11 @@ def read_trajectory_csv(path, group_name):
         if not aux_names or aux_names[-1][0] != m.group(1):
             aux_names.append((m.group(1), 0))
         aux_names[-1] = (m.group(1), aux_names[-1][1] + 1)
+    if len(data) == 0:
+        raise ConfigError("trajectory has no rows")
 
     agents = data[:, 1].astype(int)
-    n = int(agents.max()) + 1 if len(agents) else 0
+    n = int(agents.max()) + 1
     if len(data) % n:
         raise ConfigError("trajectory rows are not a whole number of snapshots")
     s = len(data) // n

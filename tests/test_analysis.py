@@ -1,10 +1,13 @@
 """Analysis tooling: coordination checks, isotropy sets, generated
 configurations, geometric oracles, probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from liecoord.analysis import (
+    PAIR_CHUNK,
     AnalysisError,
     check_coordination,
     check_se2_lic_tc_equivalence,
@@ -24,7 +27,7 @@ from liecoord.analysis import (
 from liecoord.controllers import ControlSetting
 from liecoord.graphs import CommGraph
 from liecoord.groups import SE2, SE3, SO3, so3_exp
-from liecoord.simulator import InitSpec, ScenarioConfig, metric_traces, run
+from liecoord.simulator import InitSpec, ScenarioConfig, Trajectory, metric_traces, run
 
 E1, E2, E3 = np.eye(3)
 
@@ -84,6 +87,85 @@ def test_coordination_criteria_agree_on_random_runs():
         traj = run(cfg)
         rep = check_coordination(traj, "lic", window=1.0, tol=1e-3)
         assert rep.lic_by_position == rep.lic_by_velocity
+
+
+def _recorded(group, g, xi, times):
+    return Trajectory(group.name, np.asarray(times, dtype=float), g, xi, {}, {}, [], True)
+
+
+def _random_recorded(group, n, samples, seed):
+    rng = np.random.default_rng(seed)
+    g = group.random(rng, samples * n).reshape((samples, n) + group.element_shape)
+    xi = rng.standard_normal((samples, n, group.dim))
+    return _recorded(group, g, xi, np.linspace(0.0, 0.1 * (samples - 1), samples))
+
+
+def _reference_check(traj):
+    """Per-pair loop over every agent pair: (lambda, pair, time), rho and the
+    two velocity gaps."""
+    group, g, xi, t = traj.group, traj.g, traj.xi, traj.times
+    xi_r = group.adjoint(g, xi)
+
+    def drift(relative, j, k):
+        emb = group.embed(relative(g[:, k], g[:, j]))
+        return np.linalg.norm((emb[2:] - emb[:-2]) / (t[2:] - t[:-2])[:, None], axis=-1)
+
+    lam, lam_at, rho, gap_r, gap_l = 0.0, (None, None), 0.0, 0.0, 0.0
+    for j in range(traj.n_agents):
+        for k in range(j + 1, traj.n_agents):
+            rate = drift(group.left_relative, j, k)
+            i = int(np.argmax(rate))
+            if rate[i] > lam:
+                lam, lam_at = float(rate[i]), ((j, k), float(t[i + 1]))
+            rho = max(rho, float(np.max(drift(group.right_relative, j, k))))
+            gap_r = max(gap_r, float(np.max(np.linalg.norm(xi_r[:, k] - xi_r[:, j], axis=-1))))
+            gap_l = max(gap_l, float(np.max(np.linalg.norm(xi[:, k] - xi[:, j], axis=-1))))
+    return lam, lam_at, rho, gap_r, gap_l
+
+
+@pytest.mark.parametrize("group, n", [(SE3, 70), (SO3, 70), (SE2, 1), (SE3, 2), (SO3, 2)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_chunked_check_matches_per_pair_loop(group, n):
+    if n == 70:
+        assert n * (n - 1) // 2 > PAIR_CHUNK
+    traj = _random_recorded(group, n, samples=6, seed=n)
+    rep = check_coordination(traj, "lic", window=1.0)
+    lam, (pair, t), rho, gap_r, gap_l = _reference_check(traj)
+    assert rep.lambda_drift == lam and rep.rho_drift == rho
+    assert rep.xi_r_disagreement == gap_r and rep.xi_l_disagreement == gap_l
+    assert rep.lambda_pair == pair and rep.lambda_time == t
+
+
+def test_check_names_the_worst_pair_and_time():
+    # SE(2) translations: agent 1 moves at unit speed, agent 2 at speed 2t
+    times = np.linspace(0.0, 1.0, 11)
+    x = np.stack([np.zeros_like(times), times, times**2], axis=1)
+    g = SE2.make(np.stack([x, np.zeros_like(x)], axis=-1), np.zeros_like(x))
+    rep = check_coordination(_recorded(SE2, g, np.zeros((11, 3, 3)), times), "lic", window=1.0)
+    assert rep.lambda_drift == pytest.approx(1.8)
+    assert rep.lambda_pair == (0, 2)
+    assert rep.lambda_time == pytest.approx(0.9)
+    assert "lambda_worst_pair=0,2 lambda_worst_t=0.900000" in rep.format()
+
+
+def test_check_never_passes_a_non_finite_trajectory():
+    times = np.linspace(0.0, 1.0, 5)
+    g = SO3.identity_like(15).reshape(5, 3, 3, 3)
+    g[2, 2, 0, 0] = np.nan
+    rep = check_coordination(_recorded(SO3, g, np.zeros((5, 3, 3)), times), "lic", window=1.0)
+    assert np.isnan(rep.lambda_drift)
+    assert not rep.achieved
+
+
+def test_check_memory_is_bounded_at_256_agents():
+    traj = _random_recorded(SE3, 256, samples=21, seed=3)
+    tracemalloc.start()
+    try:
+        check_coordination(traj, "lic", window=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,10 @@ def test_cmd_check_round_trip_matches_in_process(tmp_path, capsys):
     assert re_rep.rho_drift == in_proc.rho_drift
     assert re_rep.xi_r_disagreement == in_proc.xi_r_disagreement
     assert re_rep.xi_l_disagreement == in_proc.xi_l_disagreement
+    assert (re_rep.lambda_pair, re_rep.lambda_time) == (in_proc.lambda_pair, in_proc.lambda_time)
+    assert in_proc.lambda_pair is not None
+    worst = in_proc.format().splitlines()[-1]
+    assert worst.startswith("lambda_worst_pair=") and worst in capsys.readouterr().out
     assert (out / "check_tc.txt").exists()
 
 

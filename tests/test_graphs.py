@@ -46,6 +46,20 @@ def test_in_matrix_convention():
     assert A[1, 0] == 1.0 and A.sum() == 1.0
 
 
+def test_edge_arrays_sorted_and_match_in_matrix():
+    rng = np.random.default_rng(11)
+    edges = {(j, k) for j in range(7) for k in range(7) if j != k and rng.random() < 0.4}
+    sched = CommGraph(7, [(0.0, edges), (1.0, {(3, 0), (0, 3)}), (2.0, set())], period=3.0)
+    for t, want in ((0.5, edges), (1.5, {(3, 0), (0, 3)}), (2.5, set()), (3.5, edges)):
+        src, dst = sched.edge_arrays(t)
+        assert src.dtype == dst.dtype == np.intp
+        assert list(zip(src.tolist(), dst.tolist())) == sorted(want, key=lambda e: (e[1], e[0]))
+        A = np.zeros((7, 7))
+        for j, k in want:
+            A[k, j] = 1.0
+        assert np.array_equal(sched.in_matrix(t), A)
+
+
 def test_undirected_flag_and_symmetry():
     und = CommGraph.static(4, [(0, 1), (1, 2)], undirected=True)
     assert und.is_undirected

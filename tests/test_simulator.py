@@ -118,6 +118,62 @@ def test_metrics_vk_zero_on_feasible_set():
     assert m2["V_k"][0] == pytest.approx(0.5 * 0.3**2)
 
 
+def _dense_metrics(group, g, xi, eta, graph, t):
+    """Reference disagreement costs: N x N x n differences masked by a dense
+    in-matrix built from the edge set itself."""
+    A = np.zeros((graph.n, graph.n))
+    for j, k in graph.edges_at(t):
+        A[k, j] = 1.0
+
+    def cost(x):
+        d = x[:, None, :] - x[None, :, :]
+        return float(np.einsum("kj,kji->", A, d * d))
+
+    eta = xi if eta is None else eta
+    return {"V_r": cost(xi), "V_l": cost(group.adjoint(g, xi)),
+            "V_tr": 0.5 * cost(eta), "V_tl": 0.5 * cost(group.adjoint(g, eta))}
+
+
+def _random_edges(rng, n, p):
+    return {(j, k) for j in range(n) for k in range(n) if j != k and rng.random() < p}
+
+
+def _metric_cases():
+    rng = np.random.default_rng(21)
+    cases = [pytest.param(CommGraph.static(9, _random_edges(rng, 9, 0.3)), 0.0, id=f"random{i}")
+             for i in range(3)]
+    # agent 0 hears nobody
+    cases.append(pytest.param(CommGraph.static(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)]), 0.0,
+                              id="in_degree_0"))
+    cases.append(pytest.param(CommGraph.empty(4), 0.0, id="empty"))
+    cases.append(pytest.param(CommGraph.empty(1), 0.0, id="single"))
+    sched = CommGraph(6, [(0.0, _random_edges(rng, 6, 0.5)), (0.5, _random_edges(rng, 6, 0.5)),
+                          (1.2, CommGraph.ring(6).edges_at(0.0))], period=2.0)
+    for t in (0.5 - 1e-9, 0.5, 1.2 - 1e-9, 1.2, 2.0 - 1e-9, 2.0, 2.5 - 1e-9, 2.5):
+        cases.append(pytest.param(sched, t, id=f"schedule@{t!r}"))
+    return cases
+
+
+@pytest.mark.parametrize("group", [SO3, SE2, SE3], ids=lambda G: G.name)
+@pytest.mark.parametrize("graph, t", _metric_cases())
+def test_edge_metrics_match_dense_reference(group, graph, t):
+    rng = np.random.default_rng(graph.n)
+    n = graph.n
+    g = group.random(rng, n)
+    xi = rng.standard_normal((n, group.dim))
+    eta = rng.standard_normal((n, group.dim))
+    for aux in (eta, None):
+        got = metric_traces(group, g, xi, aux, graph, t)
+        want = _dense_metrics(group, g, xi, aux, graph, t)
+        for name, ref in want.items():
+            assert abs(got[name] - ref) <= 1e-12 * max(1.0, abs(ref)), (name, got[name], ref)
+        if not graph.edges_at(t):
+            assert all(got[name] == 0.0 for name in want)
+    # without an auxiliary velocity the halved costs are exactly half of xi's
+    got = metric_traces(group, g, xi, None, graph, t)
+    assert got["V_tr"] == 0.5 * got["V_r"] and got["V_tl"] == 0.5 * got["V_l"]
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -315,6 +371,15 @@ def test_csv_round_trip_exact(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.startswith("t,agent,x,y,z,Q00")
     assert header.endswith("xi0,xi1,xi2,xi3,xi4,xi5,eta_v0,eta_v1,eta_v2")
+
+
+def test_header_only_trajectory_csv_is_a_config_error(tmp_path):
+    cfg = _cfg(t_end=0.02)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(cfg), path)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ConfigError, match="no rows"):
+        read_trajectory_csv(path, "se2")
 
 
 def test_metrics_csv_header_and_manifest(tmp_path):
