@@ -10,9 +10,7 @@ from .controllers import (
     build_controller,
     check_sign_condition,
     compatibility_check,
-    double_bracket_rhs,
     lic_consensus_rhs,
-    project_to_C,
     ric_consensus_rhs,
     se3_steering_consensus_helical_rhs,
     se3_steering_consensus_linear_rhs,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import matvec
-from .groups import SE2, SE3, get_group, rot2
+from .groups import SE2, SE3, cross3, get_group, rot2
 from .graphs import CommGraph
 from .simulator import InitSpec, ScenarioConfig, run
 from . import groups as _groups
@@ -279,7 +279,7 @@ def se3_screw_axis(g, xi):
     xi_r = SE3.adjoint(g, xi)
     v_r, w_r = xi_r[..., :3], xi_r[..., 3:]
     wn2 = np.einsum("...i,...i->...", w_r, w_r)
-    point = np.cross(w_r, v_r) / wn2[..., None]
+    point = cross3(w_r, v_r) / wn2[..., None]
     direction = w_r / np.sqrt(wn2)[..., None]
     pitch_rate = np.einsum("...i,...i->...", v_r, direction)
     return point, direction, pitch_rate

@@ -462,8 +462,6 @@ def read_manifest(path):
             elif ": " in line:
                 key, val = line.split(": ", 1)
                 out[key] = val
-            elif line.endswith(":"):
-                pass
     return out
 
 
@@ -478,7 +476,11 @@ def read_trajectory_csv(path, group_name):
         with warnings.catch_warnings():
             # a file without rows is reported below as a ConfigError
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(f, delimiter=",", ndmin=2)
+            except ValueError as e:
+                # a truncated row or a value that is not a number
+                raise ConfigError(f"malformed trajectory row: {e}") from e
     n_payload = len(group.payload_columns)
     want = ["t", "agent"] + list(group.payload_columns) + [f"xi{i}" for i in range(group.dim)]
     if header[: len(want)] != want:
@@ -493,6 +495,10 @@ def read_trajectory_csv(path, group_name):
         aux_names[-1] = (m.group(1), aux_names[-1][1] + 1)
     if len(data) == 0:
         raise ConfigError("trajectory has no rows")
+    if data.shape[1] != len(header):
+        raise ConfigError(
+            f"trajectory rows have {data.shape[1]} columns, its header {len(header)}"
+        )
 
     agents = data[:, 1].astype(int)
     n = int(agents.max()) + 1

@@ -277,6 +277,20 @@ def test_cmd_check_missing_files(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "nowhere"), "--mode", "tc"]) == cli.EXIT_FAILURE
 
 
+def test_cmd_check_truncated_trajectory_is_a_usage_error(tmp_path, capsys):
+    scen = _write(tmp_path, MINIMAL.replace("agents = 1", "agents = 2").replace(
+        "kind = empty", "kind = complete"))
+    out = tmp_path / "run"
+    assert cli.main(["run", scen, "--out", str(out)]) == 0
+    path = out / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].split(",")[0]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["check", str(out), "--mode", "tc"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------

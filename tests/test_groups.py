@@ -1,11 +1,15 @@
 """Group algebra: composition, adjoints, brackets, exponentials, pairing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from liecoord.lie import GroupError
+import liecoord
+from liecoord.lie import GroupError, matvec
 from liecoord.groups import (
-    GROUPS, SE2, SE3, SO3, get_group, hat, is_unitary_adjoint, polar_rotation, vee,
+    GROUPS, SE2, SE3, SO3, cross3, get_group, hat, is_unitary_adjoint, polar_rotation,
+    so3_exp, vee,
 )
 from liecoord.analysis import cm_algebra_basis
 
@@ -34,6 +38,26 @@ def test_hat_cross_identity():
     rng = np.random.default_rng(1)
     w, x = rng.standard_normal(3), rng.standard_normal(3)
     assert np.allclose(hat(w) @ x, np.cross(w, x))
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((3,), (5, 3)),
+    ((5, 3), (5, 3)),
+    ((4, 5, 3), (5, 3)),
+])
+def test_cross3_equals_np_cross_bitwise(x_shape, y_shape):
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal(x_shape), rng.standard_normal(y_shape)
+    assert np.array_equal(cross3(x, y), np.cross(x, y))
+    assert np.array_equal(cross3(y, x), np.cross(y, x))
+
+
+def test_library_never_calls_np_cross():
+    # np.cross costs several times cross3 in call overhead on per-step arrays
+    sources = sorted(Path(liecoord.__file__).parent.rglob("*.py"))
+    assert sources
+    offenders = [str(p) for p in sources if "np.cross(" in p.read_text()]
+    assert offenders == []
 
 
 def test_vee_round_trip():
@@ -294,6 +318,63 @@ def test_exp_small_angle_fallback_consistent(group):
     tiny = group.exp(1e-9 * d)
     assert group.allclose(tiny, group.identity(), tol=2e-9)
     assert np.max(group.manifold_defect(group.exp(1e-7 * d))) < 1e-15
+
+
+def _so3_exp_reference(w):
+    """Rodrigues formula written out in full: the reference for so3_exp."""
+    theta = np.linalg.norm(w, axis=-1)
+    t2 = theta * theta
+    small = theta < 1e-6
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(safe)) / (safe * safe))
+    K = hat(w)
+    return np.eye(3) + a[..., None, None] * K + b[..., None, None] * (K @ K)
+
+
+def _se3_exp_reference(xi):
+    """SE(3) exp as the two-pass composition make(V v, so3_exp(w)), with V's own
+    small-angle series."""
+    v, w = xi[..., :3], xi[..., 3:]
+    theta = np.linalg.norm(w, axis=-1)
+    t2 = theta * theta
+    small = theta < 1e-6
+    safe = np.where(small, 1.0, theta)
+    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
+    c = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - np.sin(safe)) / (safe ** 3))
+    K = hat(w)
+    V = np.eye(3) + b[..., None, None] * K + c[..., None, None] * (K @ K)
+    return SE3.make(matvec(V, v), _so3_exp_reference(w))
+
+
+_SWITCH = 1e-6
+EXP_ANGLES = {
+    "zero": 0.0,
+    "below_switch": _SWITCH * (1.0 - 1e-12),
+    "above_switch": _SWITCH * (1.0 + 1e-12),
+    "near_pi": np.pi - 1e-9,
+    "pi": np.pi,
+}
+
+
+@pytest.mark.parametrize("theta", EXP_ANGLES.values(), ids=EXP_ANGLES.keys())
+def test_one_pass_exp_equals_composition_bitwise(theta):
+    rng = np.random.default_rng(21)
+    axis = rng.standard_normal(3)
+    w = theta * axis / np.linalg.norm(axis)
+    xi = np.concatenate([rng.standard_normal(3), w])
+    assert np.linalg.norm(w) < _SWITCH if theta < _SWITCH else np.linalg.norm(w) >= _SWITCH
+    assert np.array_equal(SE3.exp(xi), _se3_exp_reference(xi))
+    assert np.array_equal(SO3.exp(w), _so3_exp_reference(w))
+
+
+def test_one_pass_exp_equals_composition_bitwise_on_a_batch():
+    rng = np.random.default_rng(22)
+    xi = rng.standard_normal((250, 4, 6))
+    # angles from 1e-9 to 1e1, so both branches occur in one call
+    xi[..., 3:] *= 10.0 ** rng.uniform(-9.0, 1.0, (250, 4, 1))
+    assert np.array_equal(SE3.exp(xi), _se3_exp_reference(xi))
+    assert np.array_equal(so3_exp(xi[..., 3:]), _so3_exp_reference(xi[..., 3:]))
 
 
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)

@@ -382,6 +382,34 @@ def test_header_only_trajectory_csv_is_a_config_error(tmp_path):
         read_trajectory_csv(path, "se2")
 
 
+def _truncate_second_row(lines):
+    lines[2] = lines[2].split(",")[0]
+
+
+def _letter_in_second_row(lines):
+    lines[2] = "a" + lines[2][lines[2].index(","):]
+
+
+def _drop_last_column(lines):
+    lines[1:] = [line.rsplit(",", 1)[0] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_truncate_second_row, "row"),
+    (_letter_in_second_row, "row"),
+    (_drop_last_column, "columns"),
+])
+def test_malformed_trajectory_csv_is_a_config_error(tmp_path, damage, message):
+    cfg = _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(cfg), path)
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        read_trajectory_csv(path, "se2")
+
+
 def test_metrics_csv_header_and_manifest(tmp_path):
     cfg = _cfg(t_end=0.1)
     traj = run(cfg)
