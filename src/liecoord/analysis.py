@@ -6,7 +6,9 @@ of relative positions (central finite differences of their embedding
 coordinates) and through velocity disagreement; the two criteria agree for
 converged runs.  Both run over every unordered agent pair, taken as index
 arrays from np.triu_indices in chunks of PAIR_CHUNK pairs, so the check
-holds O(PAIR_CHUNK x samples) temporaries at any swarm size.
+holds O(PAIR_CHUNK x samples) temporaries at any swarm size.  Each agent's
+inverse is computed once per check, and both relative positions g_k^-1 g_j
+and g_j g_k^-1 gather from it.
 """
 
 from __future__ import annotations
@@ -96,16 +98,17 @@ def _worst_pair(n, norms):
     return (0.0, None, None) if pair is None else (best, pair, sample)
 
 
-def _max_pair_drift(group, g, times, relative):
+def _max_pair_drift(group, n, times, relative):
     """Max central-difference drift rate of pairwise relative positions, with
-    the pair and the sample time where it occurs."""
+    the pair and the sample time where it occurs.  relative(j, k) gives the
+    (S, P, ...) relative positions of one chunk of pairs."""
     dt = (times[2:] - times[:-2])[:, None, None]
 
     def drift(j, k):
-        emb = group.embed(relative(g[:, k], g[:, j]))
+        emb = group.embed(relative(j, k))
         return np.linalg.norm((emb[2:] - emb[:-2]) / dt, axis=-1)
 
-    worst, pair, i = _worst_pair(g.shape[1], drift)
+    worst, pair, i = _worst_pair(n, drift)
     return worst, pair, None if i is None else float(times[i + 1])
 
 
@@ -133,8 +136,12 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
     xi = traj.xi[sel]
     t_win = times[sel]
 
-    lam, lam_pair, lam_t = _max_pair_drift(group, g, t_win, group.left_relative)
-    rho = _max_pair_drift(group, g, t_win, group.right_relative)[0]
+    n = g.shape[1]
+    g_inv = group.inverse(g)
+    lam, lam_pair, lam_t = _max_pair_drift(
+        group, n, t_win, lambda j, k: group.compose(g_inv[:, k], g[:, j]))   # g_k^-1 g_j
+    rho = _max_pair_drift(
+        group, n, t_win, lambda j, k: group.compose(g[:, j], g_inv[:, k]))[0]  # g_j g_k^-1
     xi_r_gap = _max_pair_gap(group.adjoint(g, xi))
     xi_l_gap = _max_pair_gap(xi)
 

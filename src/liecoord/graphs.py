@@ -13,6 +13,8 @@ controllers' per-step neighbour sums multiply with (see controllers).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 
@@ -88,9 +90,8 @@ class CommGraph:
             return 0
         t = float(t)
         if self.period is not None:
-            t = np.mod(t, self.period)
-        idx = int(np.searchsorted(self.breakpoints, t, side="right") - 1)
-        return max(idx, 0)
+            t %= self.period
+        return max(bisect_right(self.breakpoints, t) - 1, 0)
 
     def edges_at(self, t):
         return self.edge_sets[self._segment_index(t)]

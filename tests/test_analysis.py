@@ -136,6 +136,23 @@ def test_chunked_check_matches_per_pair_loop(group, n):
     assert rep.lambda_pair == pair and rep.lambda_time == t
 
 
+@pytest.mark.parametrize("group", [SO3, SE2, SE3], ids=lambda g: g.name)
+def test_check_inverts_each_agent_once(monkeypatch, group):
+    n = 70
+    assert n * (n - 1) // 2 > PAIR_CHUNK
+    traj = _random_recorded(group, n, samples=6, seed=1)
+    calls = []
+    inverse = group.inverse
+
+    def counting(g):
+        calls.append(np.shape(g))
+        return inverse(g)
+
+    monkeypatch.setattr(group, "inverse", counting)
+    check_coordination(traj, "lic", window=1.0)
+    assert calls == [traj.g.shape]
+
+
 def test_check_names_the_worst_pair_and_time():
     # SE(2) translations: agent 1 moves at unit speed, agent 2 at speed 2t
     times = np.linspace(0.0, 1.0, 11)

@@ -40,6 +40,31 @@ def test_rejects_bad_schedule():
         CommGraph(2, [(0.0, {(0, 1)}), (3.0, set())], period=2.0)
 
 
+def _numpy_segment_index(graph, t):
+    # the np.mod / np.searchsorted form that bisect replaced
+    t = float(t)
+    if graph.period is not None:
+        t = np.mod(t, graph.period)
+    return max(int(np.searchsorted(graph.breakpoints, t, side="right") - 1), 0)
+
+
+def test_segment_index_matches_numpy_form_around_breakpoints():
+    sched = CommGraph(3, [(0.0, {(0, 1)}), (0.7, {(1, 2)}), (1.9, set())], period=2.3)
+    probes = [0.0, -1e-300, 1e9]
+    for m in range(8):
+        for b in sched.breakpoints + (sched.period,):
+            t = b + m * sched.period
+            probes += [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+        t = m * sched.period
+        probes += [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+    for t in probes:
+        assert sched._segment_index(t) == _numpy_segment_index(sched, t), t
+        assert sched._segment_index(np.float64(t)) == _numpy_segment_index(sched, t), t
+    # a one-ulp step at a breakpoint switches the segment
+    assert sched._segment_index(np.nextafter(0.7, -np.inf)) == 0
+    assert sched._segment_index(0.7) == 1
+
+
 def test_in_matrix_convention():
     g = CommGraph.static(3, [(0, 1)])
     A = g.in_matrix(0.0)

@@ -7,11 +7,15 @@ from liecoord.controllers import ControlSetting, build_controller
 from liecoord.graphs import CommGraph
 from liecoord.groups import SE2, SE3, SO3, so3_exp
 from liecoord.simulator import (
+    CSV_BLOCK_ROWS,
+    METRIC_NAMES,
     ConfigError,
     InitSpec,
     NumericsError,
     ScenarioConfig,
     SwarmState,
+    Trajectory,
+    aux_columns,
     metric_traces,
     read_manifest,
     read_trajectory_csv,
@@ -408,6 +412,105 @@ def test_malformed_trajectory_csv_is_a_config_error(tmp_path, damage, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=message):
         read_trajectory_csv(path, "se2")
+
+
+def _swap_first_snapshot_ids(lines):
+    for i, agent in ((1, "1"), (2, "0")):
+        t, _, rest = lines[i].split(",", 2)
+        lines[i] = ",".join((t, agent, rest))
+
+
+def _second_row_later_time(lines):
+    t, rest = lines[2].split(",", 1)
+    lines[2] = f"{float(t) + 1.0!r},{rest}"
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_swap_first_snapshot_ids, "agent ids"),
+    (_second_row_later_time, "times differ"),
+])
+def test_trajectory_csv_rows_must_follow_agent_order(tmp_path, damage, message):
+    cfg = _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(cfg), path)
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        read_trajectory_csv(path, "se2")
+
+
+# The per-value writers the block writers replaced: one format() call per
+# value and one join per row.  They are the byte-for-byte reference.
+
+def _ref_fmt(x):
+    return format(float(x), ".17g")
+
+
+def _ref_write_trajectory_csv(traj, path):
+    group = traj.group
+    header = (["t", "agent"] + list(group.payload_columns)
+              + [f"xi{i}" for i in range(group.dim)] + aux_columns(traj.aux))
+    payload = group.to_payload(traj.g)
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for s in range(len(traj.times)):
+            for k in range(traj.n_agents):
+                row = [_ref_fmt(traj.times[s]), str(k)]
+                row += [_ref_fmt(v) for v in payload[s, k]]
+                row += [_ref_fmt(v) for v in traj.xi[s, k]]
+                for arr in traj.aux.values():
+                    row += [_ref_fmt(v) for v in arr[s, k]]
+                f.write(",".join(row) + "\n")
+
+
+def _ref_write_metrics_csv(traj, path):
+    header = ["t"] + list(METRIC_NAMES) + [f"V_k_{k}" for k in range(traj.n_agents)]
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for s in range(len(traj.times)):
+            row = [_ref_fmt(traj.times[s])]
+            row += [_ref_fmt(traj.metrics[name][s]) for name in METRIC_NAMES]
+            row += [_ref_fmt(v) for v in traj.metrics["V_k"][s]]
+            f.write(",".join(row) + "\n")
+
+
+_AWKWARD = [-0.0, 5e-324, 1e16, 1e17, np.inf, np.nan]
+
+
+def _synthetic_trajectory(group, n, samples, seed):
+    rng = np.random.default_rng(seed)
+    g = group.random(rng, samples * n).reshape((samples, n) + group.element_shape)
+    xi = rng.standard_normal((samples, n, group.dim)) * 10.0 ** rng.integers(-8, 9, (samples, n, 1))
+    flat = xi.reshape(-1)
+    flat[:len(_AWKWARD)] = _AWKWARD
+    flat[-len(_AWKWARD):] = _AWKWARD
+    aux = {"alpha": rng.standard_normal((samples, n, 2)),
+           "eta": rng.standard_normal((samples, n, group.dim))}
+    metrics = {name: rng.standard_normal(samples) for name in METRIC_NAMES}
+    metrics["V_k"] = rng.standard_normal((samples, n)) ** 2
+    metrics["V_k"][0, :min(n, len(_AWKWARD))] = _AWKWARD[:n]
+    times = np.arange(samples) * 1e-2
+    return Trajectory(group.name, times, g, xi, aux, metrics, [], True)
+
+
+@pytest.mark.parametrize("group, n, samples", [
+    (SO3, 3, 4),
+    (SE2, 5, CSV_BLOCK_ROWS // 5 + 3),      # more than one block, ragged last block
+    (SE3, 7, 2 * CSV_BLOCK_ROWS // 7 + 1),
+    (SE3, 1, CSV_BLOCK_ROWS),               # exactly one block
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_block_writers_match_per_value_writers_byte_for_byte(tmp_path, group, n, samples):
+    traj = _synthetic_trajectory(group, n, samples, seed=n)
+    for name, write, ref in (("trajectory", write_trajectory_csv, _ref_write_trajectory_csv),
+                             ("metrics", write_metrics_csv, _ref_write_metrics_csv)):
+        write(traj, tmp_path / f"{name}.csv")
+        ref(traj, tmp_path / f"{name}_ref.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+    text = (tmp_path / "trajectory.csv").read_text()
+    for token in (",-0,", ",4.9406564584124654e-324,", ",10000000000000000,", ",1e+17,",
+                  ",inf,", ",nan,"):
+        assert token in text
 
 
 def test_metrics_csv_header_and_manifest(tmp_path):
