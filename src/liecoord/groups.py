@@ -130,10 +130,9 @@ class SO3Group(LieGroup):
         return np.swapaxes(self.require_element(g), -1, -2)
 
     def adjoint_matrix(self, g):
-        return self.require_element(g).copy()
-
-    def adjoint(self, g, xi):
-        return matvec(self.require_element(g), self.require_algebra(xi))
+        # the rotation itself, not a copy: a contiguous copy of an inverse
+        # (a transposed view) changes einsum's summation order in matvec
+        return self.require_element(g)
 
     def bracket(self, xi, eta):
         return cross3(self.require_algebra(xi), self.require_algebra(eta))

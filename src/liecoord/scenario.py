@@ -43,7 +43,9 @@ Format (schema 1):
     ; explicit aux rows per controller field:
     ; eta_0 = ...
 
-Unknown sections or keys are rejected.
+Unknown sections or keys are rejected; so are controller parameters the
+controller does not declare, when the controller is built (simulator.run).
+t_end must be a whole number of steps h.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ position).  A run is sequential and deterministic given its config and seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import warnings
 from dataclasses import dataclass, field, replace
@@ -39,9 +40,6 @@ class SwarmState:
     t: float
     g: np.ndarray                 # (N, *element_shape)
     aux: dict[str, np.ndarray]    # per-agent auxiliary vectors
-
-    def with_aux(self, aux):
-        return SwarmState(self.t, self.g, aux)
 
 
 @dataclass
@@ -92,6 +90,9 @@ class ScenarioConfig:
             raise ConfigError("h: must be > 0")
         if not (self.t_end > 0.0):
             raise ConfigError("t_end: must be > 0")
+        steps = self.t_end / self.h
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"t_end: {self.t_end!r} is not a whole number of steps h={self.h!r}")
         if self.graph.n != self.n_agents:
             raise ConfigError("graph: agent count differs from the scenario")
         if self.record_every < 1:
@@ -303,7 +304,7 @@ def run(cfg):
     rng = np.random.default_rng(cfg.seed)
     state = _initial_state(cfg, group, controller, rng)
 
-    n_steps = max(int(round(cfg.t_end / cfg.h)), 1)
+    n_steps = round(cfg.t_end / cfg.h)
     rec_idx = list(range(0, n_steps, cfg.record_every))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
@@ -325,10 +326,10 @@ def run(cfg):
 
     for i in range(n_steps + 1):
         out = controller.output(state, graph=cfg.graph)
+        _check_velocity(out.xi)
         log.merge_controller_events(state.t, out.events)
         stop = False
         if i in next_rec:
-            _check_velocity(out.xi)
             if float(np.max(np.abs(group.embed(state.g)))) > BLOWUP_NORM:
                 log.add(state.t, "blowup", detail="state norm exceeded 1e12; run aborted")
                 completed = False
@@ -358,7 +359,6 @@ def run(cfg):
                     stop = True
         if stop or i == n_steps:
             break
-        _check_velocity(out.xi)
         state = _advance(group, state, out, cfg.h, controller, cfg.graph, cfg.aux_integrator)
         if cfg.reproject_every and (i + 1) % cfg.reproject_every == 0:
             defect = float(np.max(group.manifold_defect(state.g)))

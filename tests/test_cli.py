@@ -373,6 +373,21 @@ monitor_tol = 1e-8
     simulator.run(cfg)
 
 
+def test_cmd_run_unknown_controller_param_is_a_usage_error(tmp_path, capsys):
+    text = MINIMAL.replace("controller = zero", "controller = underactuated_lic") + """
+[control]
+preset = se2_steering
+
+[controller.params]
+monitor_tl = 1e-3
+"""
+    code = cli.main(["run", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "monitor_tl" in err and "monitor_tol" in err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+
 def test_cmd_run_group_controller_mismatch(tmp_path, capsys):
     bad = MINIMAL.replace("controller = zero", "controller = se3_steering_linear")
     code = cli.main(["run", _write(tmp_path, bad), "--out", str(tmp_path / "o")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liecoord.controllers import (
+    CONTROLLERS,
     ControlSetting,
     ControllerError,
     build_controller,
@@ -22,8 +23,8 @@ from liecoord.controllers import (
     underactuated_lic_rhs,
 )
 from liecoord.graphs import CommGraph
-from liecoord.groups import SE2, SE3, SO3, so3_exp
-from liecoord.simulator import SwarmState
+from liecoord.groups import GROUPS, SE2, SE3, SO3, so3_exp
+from liecoord.simulator import ScenarioConfig, SwarmState, run
 
 E1, E2, E3 = np.eye(3)
 
@@ -266,6 +267,19 @@ def test_tc_left_cascade_underactuated_stays_feasible():
     assert np.max(np.linalg.norm(xi - cs.project(xi), axis=-1)) < 1e-12
     # the auxiliary derivative stays tangent to C
     assert np.max(np.abs(deta - deta @ cs.B @ cs.B.T)) < 1e-12
+
+
+@pytest.mark.parametrize("name, group, cs, params, bad", [
+    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"monitor_tl": 1e-3}, "monitor_tl"),
+    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"freeze_aux": 1.0}, "freeze_aux"),
+    ("tc_left_cascade", SO3, None, {"freeze_aux": 1.0}, "freeze_aux"),
+    ("zero", SE3, None, {"xi": np.zeros(6)}, "xi"),
+])
+def test_build_controller_rejects_unknown_params(name, group, cs, params, bad):
+    with pytest.raises(ControllerError, match=bad) as err:
+        build_controller(name, group, cs=cs, params=params)
+    if name == "underactuated_lic":
+        assert "monitor_tol" in str(err.value)      # the allowed keys are listed
 
 
 def test_tc_left_controller_rejects_infeasible_initial_aux():
@@ -631,3 +645,89 @@ def test_compatibility_se2_steering_circle():
         g_off = np.stack([SE2.compose(g_k, m_off), g_k])
         assert not compatibility_check(SE2, g_off, cs, mode="lic")[0, 1]
         assert not compatibility_check(SE2, g_off, cs, mode="tc")[0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the controller table
+# ---------------------------------------------------------------------------
+
+_UNDERACTUATED = {
+    "so3": ControlSetting.so3_two_axis(drift=True),
+    "se2": ControlSetting.se2_steering(),
+    "se3": ControlSetting.se3_steering(),
+}
+
+
+def _run_args(name, group):
+    """Control setting and parameters a spec needs; the others run bare."""
+    if name == "constant":
+        return None, {"xi": np.linspace(0.1, 0.5, group.dim)}
+    if name == "tc_right_frozen":
+        return None, {"xi_r": np.linspace(-0.3, 0.7, group.dim)}
+    if name in ("underactuated_lic", "tc_left_cascade"):
+        return _UNDERACTUATED[group.name], {}
+    return None, {}
+
+
+_SPEC_CASES = [
+    (name, group_name)
+    for name, spec in CONTROLLERS.items()
+    for group_name in spec.groups
+]
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("name, group_name", _SPEC_CASES)
+def test_every_spec_runs_with_its_declared_aux_shapes(name, group_name, integrator):
+    group = GROUPS[group_name]
+    cs, params = _run_args(name, group)
+    cfg = ScenarioConfig(group=group_name, n_agents=3, controller=name, control=cs,
+                         controller_params=params, graph=CommGraph.ring(3),
+                         t_end=0.02, h=1e-3, seed=4, record_every=5,
+                         aux_integrator=integrator)
+    traj = run(cfg)
+    assert traj.completed and len(traj.times) == 5
+    assert traj.xi.shape == (5, 3, group.dim)
+    spec = CONTROLLERS[name]
+    assert {f: v.shape for f, v in traj.aux.items()} == {
+        f: (5, 3, group.dim if dim is None else dim) for f, dim, _ in spec.aux
+    }
+    for v in (traj.g, traj.xi, *traj.aux.values()):
+        assert np.all(np.isfinite(v))
+
+
+@pytest.mark.parametrize("name, group_name", _SPEC_CASES)
+def test_every_spec_runs_on_a_stacked_batch(name, group_name):
+    # a (2, N, ...) state gives each member's (N, ...) output; events aside
+    group = GROUPS[group_name]
+    cs, params = _run_args(name, group)
+    ctrl = build_controller(name, group, cs=cs, params=params)
+    rng = np.random.default_rng(35)
+    n = 4
+    graph = CommGraph(n, [(0.0, [(0, 1), (1, 2), (2, 0), (3, 0), (1, 3)]),
+                          (0.5, [(0, 3), (3, 2)])], period=1.0)
+    g = group.random(rng, 2 * n).reshape((2, n) + group.element_shape)
+    aux0 = ctrl.default_aux(g, rng)
+    ctrl.validate_initial(g, aux0)
+    assert all(v.shape == (2, n, ctrl.aux_dims[f]) for f, v in aux0.items())
+    aux = {f: rng.standard_normal(v.shape) for f, v in aux0.items()}
+
+    def close(batch, ref):
+        assert batch.shape == ref.shape
+        assert np.all(np.abs(batch - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    for t in (0.2, 0.7):
+        state = SwarmState(t, g, aux)
+        out = ctrl.output(state, graph)
+        eta = ctrl.eta_for_metrics(state)
+        for b in range(2):
+            member = SwarmState(t, g[b], {f: v[b] for f, v in aux.items()})
+            ref = ctrl.output(member, graph)
+            close(out.xi[b], ref.xi)
+            assert out.aux_dot.keys() == ref.aux_dot.keys()
+            for f in ref.aux_dot:
+                close(out.aux_dot[f][b], ref.aux_dot[f])
+            ref_eta = ctrl.eta_for_metrics(member)
+            assert (eta is None) == (ref_eta is None)
+            if ref_eta is not None:
+                close(eta[b], ref_eta)

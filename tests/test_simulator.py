@@ -219,6 +219,16 @@ def test_run_validates_config():
         _cfg(aux_integrator="heun").validate()
 
 
+def test_validate_rejects_t_end_off_the_step_grid():
+    for t_end in (0.0105, 1e-5, 0.5 + 1e-7):
+        with pytest.raises(ConfigError, match="t_end"):
+            _cfg(t_end=t_end, h=1e-3).validate()
+    # t_end / h within a relative 1e-9 of an integer is a whole number of steps
+    assert 0.3 / 0.1 != 3
+    _cfg(t_end=30.0, h=2e-3).validate()
+    assert run(_cfg(t_end=0.3, h=0.1)).times[-1] == pytest.approx(0.3)
+
+
 def test_run_explicit_initial_state():
     g0 = SE2.make(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0, np.pi / 2]))
     xi0 = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
