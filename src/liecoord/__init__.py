@@ -1,7 +1,9 @@
 """Coordinated motion of multi-agent swarms on Lie groups."""
 
-from .lie import GroupError, LieGroup, TAU_MANIFOLD
-from .groups import GROUPS, SE2, SE3, SO3, get_group, hat, is_unitary_adjoint, vee
+from .groups import (
+    GROUPS, SE2, SE3, SO3, TAU_MANIFOLD, GroupError, LieGroup, get_group, hat,
+    is_unitary_adjoint, vee,
+)
 from .graphs import CommGraph, GraphError
 from .controllers import (
     CONTROLLERS,
@@ -21,13 +23,11 @@ from .controllers import (
 from .simulator import (
     ConfigError,
     InitSpec,
-    NumericsError,
     ScenarioConfig,
     SwarmState,
     Trajectory,
     metric_traces,
     run,
-    step,
 )
 from .analysis import (
     AnalysisError,

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import matvec
-from .groups import SE2, SE3, cross3, get_group, rot2
+from .groups import SE2, SE3, cross3, get_group, matvec, rot2, so3_exp
 from .graphs import CommGraph
 from .simulator import InitSpec, ScenarioConfig, run
-from . import groups as _groups
 
 RANK_REL_TOL = 1e-9
 PAIR_CHUNK = 2048
@@ -158,6 +156,15 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
 # isotropy sets
 # ---------------------------------------------------------------------------
 
+def _null_space(M, dim, rel_tol):
+    """Orthonormal basis (rows) of the null space of M, singular values up to
+    rel_tol times the largest counting as zero; all of R^dim when M = 0."""
+    _, s, Vt = np.linalg.svd(M)
+    if s[0] == 0.0:
+        return np.eye(dim)
+    return Vt[s <= rel_tol * s[0]]
+
+
 def cm_membership(group, g, xi, tol=1e-9):
     """True iff Ad_g xi = xi within tol (g fixes the velocity xi)."""
     err = np.linalg.norm(group.adjoint(g, xi) - np.asarray(xi, dtype=float), axis=-1)
@@ -166,11 +173,7 @@ def cm_membership(group, g, xi, tol=1e-9):
 
 def cm_algebra_basis(group, xi, rel_tol=RANK_REL_TOL):
     """Orthonormal basis (rows) of the commutant {eta : [xi, eta] = 0}."""
-    ad = group.ad_matrix(xi)
-    _, s, Vt = np.linalg.svd(ad)
-    if s[0] == 0.0:
-        return np.eye(group.dim)
-    return Vt[s <= rel_tol * s[0]]
+    return _null_space(group.ad_matrix(xi), group.dim, rel_tol)
 
 
 def cm_algebra_dimension(group, xi, rel_tol=RANK_REL_TOL):
@@ -255,11 +258,7 @@ def compatible_velocities(group, lambdas, rel_tol=RANK_REL_TOL):
     rows = [group.adjoint_matrix(lam) - np.eye(group.dim) for lam in lambdas]
     if not rows:
         return np.eye(group.dim)
-    M = np.concatenate(rows, axis=0)
-    _, s, Vt = np.linalg.svd(M)
-    if s[0] == 0.0:
-        return np.eye(group.dim)
-    return Vt[s <= rel_tol * s[0]]
+    return _null_space(np.concatenate(rows, axis=0), group.dim, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def so3_anti_aligned_state(n=4, axis=None):
     if n % 2:
         raise AnalysisError("anti-aligned construction needs an even agent count")
     axis = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
-    flip = _groups.so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
+    flip = so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
     g = np.stack([np.eye(3)] * (n // 2) + [flip] * (n // 2))
     eta = np.broadcast_to(axis, (n, 3)).copy()
     return g, eta
@@ -419,7 +418,7 @@ def so3_saddle_escape(eps=1e-3, seed=0, n=4, t_end=40.0, h=1e-3):
     trajectory (terminal V_tl near zero demonstrates the escape)."""
     rng = np.random.default_rng(seed)
     g, eta = so3_anti_aligned_state(n)
-    g = get_group("so3").compose(g, _groups.so3_exp(eps * rng.standard_normal((n, 3))))
+    g = get_group("so3").compose(g, so3_exp(eps * rng.standard_normal((n, 3))))
     eta = eta + eps * rng.standard_normal((n, 3))
     cfg = _so3_tc_config(
         n, CommGraph.complete(n), seed, t_end, h,

@@ -22,9 +22,9 @@ import numpy as np
 from . import analysis, simulator
 from .controllers import ControllerError
 from .graphs import GraphError
-from .lie import GroupError
+from .groups import GroupError
 from .scenario import parse_scenario
-from .simulator import ConfigError, NumericsError, Trajectory
+from .simulator import ConfigError, Trajectory
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -62,12 +62,13 @@ def cmd_run(args):
     traj = simulator.run(cfg)
     out = _out_dir(args.out)
     _write_run(traj, out)
-    final = {k: traj.metrics[k][-1] for k in simulator.METRIC_NAMES}
-    vk = float(np.max(traj.metrics["V_k"][-1]))
     print(f"run: {cfg.group} {cfg.controller} N={cfg.n_agents} "
           f"t_end={cfg.t_end:g} seed={cfg.seed} -> {out}")
-    print("terminal: " + " ".join(f"{k}={v:.6e}" for k, v in final.items())
-          + f" V_k_max={vk:.6e}")
+    if len(traj.times):     # a run that blows up at t = 0 records no sample
+        final = {k: traj.metrics[k][-1] for k in simulator.METRIC_NAMES}
+        vk = float(np.max(traj.metrics["V_k"][-1]))
+        print("terminal: " + " ".join(f"{k}={v:.6e}" for k, v in final.items())
+              + f" V_k_max={vk:.6e}")
     if not traj.completed:
         print("run aborted early; see manifest events", file=sys.stderr)
         return EXIT_FAILURE
@@ -214,7 +215,7 @@ def main(argv=None):
             analysis.AnalysisError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, OSError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -25,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lie import matvec
-from .groups import GROUPS, SE3, cross3
+from .groups import GROUPS, SE3, cross3, matvec
 
 
 class ControllerError(ValueError):
@@ -381,13 +380,25 @@ class ControllerSpec:
     rhs: Callable                  # (c, state, graph) -> ControllerOutput
     aux: tuple = ()                # (field, dim, start); dim None is the algebra dimension,
                                    # start None a Gaussian draw, else a constant vector
-    params: tuple = ()             # allowed parameter names
+    params: tuple = ()             # allowed (name, kind) pairs; kind "float", or "algebra"
+                                   # for an algebra vector, shared or one per agent
     groups: tuple = tuple(GROUPS)  # names of the groups the law runs on
     cs: Callable | None = None     # control setting used when none is given
     check: Callable | None = None  # (c) -> None; raises ControllerError
     default_aux: Callable | None = None  # (c, agents, rng, scale) -> aux, overriding start
     validate: Callable | None = None     # (c, aux0) -> None, after the shape checks
     eta: Callable = _aux_eta       # (c, state) -> auxiliary velocity for the metrics, or None
+
+
+def _check_param(name, key, kind, value, dim):
+    """Raise ControllerError unless value is of the declared kind."""
+    try:
+        shape = np.shape(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        shape = None
+    if (shape != ()) if kind == "float" else (shape is None or shape[-1:] != (dim,)):
+        want = "a number" if kind == "float" else f"an algebra vector of length {dim}"
+        raise ControllerError(f"{name}: parameter {key} must be {want}, got {value!r}")
 
 
 class Controller:
@@ -398,14 +409,17 @@ class Controller:
 
     def __init__(self, name, spec, group, cs=None, params=None):
         self.params = dict(params or {})
-        unknown = sorted(set(self.params) - set(spec.params))
+        kinds = dict(spec.params)
+        unknown = sorted(set(self.params) - set(kinds))
         if unknown:
             raise ControllerError(
-                f"{name}: unknown parameter(s) {unknown}; allowed: {list(spec.params)}"
+                f"{name}: unknown parameter(s) {unknown}; allowed: {list(kinds)}"
             )
         if group.name not in spec.groups:
             labels = ", ".join(f"{g[:2].upper()}({g[2:]})" for g in spec.groups)
             raise ControllerError(f"{name} runs on {labels} only")
+        for key, value in self.params.items():
+            _check_param(name, key, kinds[key], value, group.dim)
         self.name = name
         self.spec = spec
         self.group = group
@@ -524,9 +538,10 @@ def _underactuated_lic(c, state, graph):
         c.group, state.g, state.aux["eta"], graph, state.t, cs=c.cs
     )
     tol = float(c.params.get("monitor_tol", 1e-9))
+    hit = np.nonzero(s > tol)      # the agent index is the last axis, also when batched
     events = [
-        ("assumption_violation", int(k), f"(eta-P(eta)).[eta,P(eta)] = {s[k]:.3e} > 0")
-        for k in np.nonzero(s > tol)[0]
+        ("assumption_violation", int(k), f"(eta-P(eta)).[eta,P(eta)] = {v:.3e} > 0")
+        for k, v in zip(hit[-1], s[hit])
     ]
     return ControllerOutput(xi, {"eta": deta}, events)
 
@@ -571,7 +586,7 @@ _ETA = (("eta", None, None),)
 
 CONTROLLERS = {
     "zero": ControllerSpec(_constant),
-    "constant": ControllerSpec(_constant, params=("xi",)),
+    "constant": ControllerSpec(_constant, params=(("xi", "algebra"),)),
     "ric_consensus": ControllerSpec(
         _velocity_law(lambda group, g, xi, graph, t: ric_consensus_rhs(xi, graph, t)), _XI
     ),
@@ -579,13 +594,14 @@ CONTROLLERS = {
     "tc_right_cascade": ControllerSpec(_tc_right_cascade, _ETA, check=_fully_actuated),
     # the position-control stage alone against a pinned spatial reference
     "tc_right_frozen": ControllerSpec(
-        _tc_right_frozen, params=("xi_r",), check=_needs_xi_r, eta=_frozen_eta
+        _tc_right_frozen, params=(("xi_r", "algebra"),), check=_needs_xi_r, eta=_frozen_eta
     ),
     "tc_left_cascade": ControllerSpec(
         _tc_left_cascade, _ETA, default_aux=_tc_left_default_aux, validate=_tc_left_validate
     ),
     "underactuated_lic": ControllerSpec(
-        _underactuated_lic, _ETA, params=("monitor_tol",), check=_needs_control_setting,
+        _underactuated_lic, _ETA, params=(("monitor_tol", "float"),),
+        check=_needs_control_setting,
         default_aux=_feasible_default_aux,
     ),
     "se3_steering_linear": ControllerSpec(

@@ -1,4 +1,9 @@
-"""Concrete rigid-body groups: SO(3), SE(2) and SE(3).
+"""Lie groups of rigid motion: the group interface and SO(3), SE(2), SE(3).
+
+Group elements are plain numpy arrays whose trailing shape is fixed by the
+group; algebra vectors are real n-vectors in a fixed per-group basis.  All
+operations accept stacked arrays with arbitrary leading (batch) dimensions and
+are pure functions, so they are safe to call concurrently.
 
 Representations (trailing array shapes):
   SO(3): 3x3 rotation matrices.
@@ -12,10 +17,19 @@ angle 1e-6 to avoid 0/0 in the Rodrigues-type coefficients.
 
 import numpy as np
 
-from .lie import GroupError, LieGroup, TAU_MANIFOLD, matvec
-
+# Tolerance for manifold-constraint checks (e.g. Q^T Q = I on rotation blocks).
+TAU_MANIFOLD = 1e-9
 _SMALL_ANGLE = 1e-6
 _I3 = np.eye(3)
+
+
+class GroupError(ValueError):
+    """Usage error: wrong group, wrong shapes, or element off the manifold."""
+
+
+def matvec(M, x):
+    """Batched matrix-vector product M @ x over the trailing two/one axes."""
+    return np.einsum("...ij,...j->...i", M, x)
 
 
 def cross3(x, y):
@@ -88,6 +102,105 @@ def polar_rotation(M):
     return U @ Vt
 
 
+def _rotation_defect(g, Q, bottom=None):
+    """Per element, the largest of |Q^T Q - I|, |det Q - 1| and the bottom-row
+    defect when given; inf where the matrix element g has a non-finite entry."""
+    ortho = np.max(np.abs(np.swapaxes(Q, -1, -2) @ Q - _I3), axis=(-1, -2))
+    det = np.abs(np.linalg.det(Q) - 1.0)
+    out = np.maximum(ortho, det)
+    if bottom is not None:
+        out = np.maximum(out, bottom)
+    return np.where(np.all(np.isfinite(g), axis=(-1, -2)), out, np.inf)
+
+
+class LieGroup:
+    """Base class for concrete groups.
+
+    Subclasses define ``name``, algebra dimension ``dim``, the trailing
+    ``element_shape`` of element arrays, and the primitive operations
+    ``identity``, ``compose``, ``inverse``, ``adjoint_matrix``, ``bracket``,
+    ``exp``, ``reproject``, ``manifold_defect``, ``random``, ``embed``
+    (continuous embedding coordinates, used for drift measurements) and the
+    CSV payload: ``payload_columns``, ``to_payload`` and ``from_payload``.
+    Everything else is derived here.
+    """
+
+    # -- shape / validity helpers -------------------------------------------------
+
+    def require_element(self, g):
+        g = np.asarray(g, dtype=float)
+        k = len(self.element_shape)
+        if g.ndim < k or g.shape[g.ndim - k:] != self.element_shape:
+            raise GroupError(
+                f"{self.name}: expected element array with trailing shape "
+                f"{self.element_shape}, got {g.shape}"
+            )
+        return g
+
+    def require_algebra(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape[-1:] != (self.dim,):
+            raise GroupError(
+                f"{self.name}: expected algebra vector of length {self.dim}, "
+                f"got shape {xi.shape}"
+            )
+        return xi
+
+    def check(self, g, tol=TAU_MANIFOLD):
+        """Raise GroupError if any element violates the manifold constraint."""
+        defect = self.manifold_defect(self.require_element(g))
+        worst = float(np.max(defect))
+        if not np.isfinite(worst) or worst > tol:
+            raise GroupError(f"{self.name}: element off the manifold (defect={worst:.3e})")
+
+    def identity_like(self, n):
+        """Stack of n identity elements."""
+        e = self.identity()
+        return np.broadcast_to(e, (n,) + self.element_shape).copy()
+
+    # -- derived operations -------------------------------------------------------
+
+    def adjoint(self, g, xi):
+        """Adjoint action of g on an algebra vector."""
+        return matvec(self.adjoint_matrix(g), self.require_algebra(xi))
+
+    def left_relative(self, g_k, g_j):
+        """Relative position g_k^-1 g_j (invariant under common left translation)."""
+        return self.compose(self.inverse(g_k), g_j)
+
+    def right_relative(self, g_k, g_j):
+        """Relative position g_j g_k^-1 (invariant under common right translation)."""
+        return self.compose(g_j, self.inverse(g_k))
+
+    def ad_matrix(self, xi):
+        """Matrix of the map bracket(xi, .) in algebra coordinates."""
+        xi = self.require_algebra(xi)
+        basis = np.eye(self.dim)
+        cols = self.bracket(xi[..., None, :], basis)  # [..., j, :] = [xi, e_j]
+        return np.swapaxes(cols, -1, -2)
+
+    def pairing(self, xi, eta):
+        """Bilinear map <xi, eta> = ad_xi^T eta.
+
+        It is the unique solution of z1 . <z2, z3> + [z1, z2] . z3 = 0 under
+        the canonical scalar product of the algebra basis.
+        """
+        return np.einsum("...ij,...i->...j", self.ad_matrix(xi), self.require_algebra(eta))
+
+    def random_algebra(self, rng, shape=(), scale=1.0):
+        """Gaussian algebra vectors of the given batch shape."""
+        if isinstance(shape, int):
+            shape = (shape,)
+        return scale * rng.standard_normal(tuple(shape) + (self.dim,))
+
+    def allclose(self, g, h, tol=1e-9):
+        """Elementwise closeness in the embedding coordinates."""
+        return bool(np.max(np.abs(self.embed(g) - self.embed(h))) <= tol)
+
+    def __repr__(self):
+        return f"<LieGroup {self.name}>"
+
+
 def _angle_terms(theta):
     """theta^2, the small-angle mask, theta with masked entries set to 1, and
     the sine and cosine of the latter."""
@@ -149,10 +262,7 @@ class SO3Group(LieGroup):
 
     def manifold_defect(self, g):
         g = self.require_element(g)
-        ortho = np.max(np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)), axis=(-1, -2))
-        det = np.abs(np.linalg.det(g) - 1.0)
-        out = np.maximum(ortho, det)
-        return np.where(np.all(np.isfinite(g), axis=(-1, -2)), out, np.inf)
+        return _rotation_defect(g, g)
 
     def random(self, rng, n=None, pos_scale=1.0, rot_scale=None):
         shape = () if n is None else (n,)
@@ -375,12 +485,8 @@ class SE3Group(LieGroup):
 
     def manifold_defect(self, g):
         g = self.require_element(g)
-        Q = g[..., :3, :3]
-        ortho = np.max(np.abs(np.swapaxes(Q, -1, -2) @ Q - np.eye(3)), axis=(-1, -2))
-        det = np.abs(np.linalg.det(Q) - 1.0)
         bottom = np.max(np.abs(g[..., 3, :] - np.array([0.0, 0.0, 0.0, 1.0])), axis=-1)
-        out = np.maximum(np.maximum(ortho, det), bottom)
-        return np.where(np.all(np.isfinite(g), axis=(-1, -2)), out, np.inf)
+        return _rotation_defect(g, g[..., :3, :3], bottom)
 
     def random(self, rng, n=None, pos_scale=1.0, rot_scale=None):
         shape = () if n is None else (n,)

@@ -43,9 +43,10 @@ Format (schema 1):
     ; explicit aux rows per controller field:
     ; eta_0 = ...
 
-Unknown sections or keys are rejected; so are controller parameters the
-controller does not declare, when the controller is built (simulator.run).
-t_end must be a whole number of steps h.
+Unknown sections or keys are rejected, and a file or value that does not
+parse is a ConfigError; controller parameters the controller does not declare,
+or of the wrong kind, are rejected when the controller is built
+(simulator.run).  t_end must be a whole number of steps h.
 """
 
 from __future__ import annotations
@@ -85,27 +86,36 @@ def _vector(text):
         raise ConfigError(f"bad numeric list {text!r}: {e}") from None
 
 
+def _scalar(text, key, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+
+
 def _num(section, key, default=None, kind=float):
     if key not in section:
         return default
-    try:
-        return kind(section[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {section[key]!r}") from None
+    return _scalar(section[key], key, kind)
+
+
+def _stack(rows, what, axis=0):
+    if len({len(r) for r in rows}) > 1:
+        raise ConfigError(f"{what}: rows of different lengths")
+    return np.stack(rows, axis=axis)
 
 
 def _edges(text):
     out = []
     for tok in text.split():
-        if ">" in tok:
-            j, k = tok.split(">")
-            out.append((int(j), int(k)))
-        elif "-" in tok:
-            j, k = tok.split("-")
-            out.append((int(j), int(k)))
-            out.append((int(k), int(j)))
-        else:
-            raise ConfigError(f"graph: bad edge token {tok!r} (use j>k or j-k)")
+        sep = ">" if ">" in tok else "-"
+        try:
+            j, k = (int(x) for x in tok.split(sep))
+        except ValueError:
+            raise ConfigError(f"graph: bad edge token {tok!r} (use j>k or j-k)") from None
+        out.append((j, k))
+        if sep == "-":
+            out.append((k, j))
     return out
 
 
@@ -134,7 +144,7 @@ def _parse_graph(section, n):
                 if key not in section:
                     raise ConfigError(f"graph: missing {key} (segments must be contiguous)")
                 t_str, _, edge_str = section[key].partition(":")
-                segments.append((float(t_str), _edges(edge_str)))
+                segments.append((_scalar(t_str, key), _edges(edge_str)))
             period = _num(section, "period")
             return CommGraph(n, segments, period=period)
     except GraphError as e:
@@ -159,8 +169,10 @@ def _parse_control(section, group):
                 f"control: unknown preset {name!r}; choose from {sorted(CONTROL_PRESETS)}"
             )
         return CONTROL_PRESETS[name](group.dim)
+    if not cols or cols != {f"b_col_{i}" for i in range(len(cols))}:
+        raise ConfigError("control: give a preset or columns b_col_0, b_col_1, ... without gaps")
     a = _vector(section.get("a", " ".join(["0"] * group.dim)))
-    B = np.stack([_vector(section[f"b_col_{i}"]) for i in range(len(cols))], axis=1)
+    B = _stack([_vector(section[f"b_col_{i}"]) for i in range(len(cols))], "control", axis=1)
     return ControlSetting(a, B)
 
 
@@ -176,9 +188,9 @@ def _parse_init(section, group, n):
         aux_scale=_num(section, "aux_scale", 1.0),
     )
     if kind == "explicit":
-        if len(poses) != n:
+        if poses != {f"pose_{k}" for k in range(n)}:
             raise ConfigError(f"init: explicit state needs pose_0..pose_{n - 1}")
-        payload = np.stack([_vector(section[f"pose_{k}"]) for k in range(n)])
+        payload = _stack([_vector(section[f"pose_{k}"]) for k in range(n)], "init")
         if payload.shape[1] != len(group.payload_columns):
             raise ConfigError(
                 f"init: pose rows need {len(group.payload_columns)} numbers "
@@ -190,7 +202,7 @@ def _parse_init(section, group, n):
     aux0 = {}
     for key in sorted(aux_rows):
         name, _, idx = key.rpartition("_")
-        if not name or not idx.isdigit():
+        if not name or not idx.isdecimal():
             raise ConfigError(f"init: unknown key {key!r}")
         aux0.setdefault(name, {})[int(idx)] = _vector(section[key])
     if aux0:
@@ -198,15 +210,18 @@ def _parse_init(section, group, n):
         for name, rows in aux0.items():
             if sorted(rows) != list(range(n)):
                 raise ConfigError(f"init: aux rows {name}_0..{name}_{n - 1} must all be present")
-            built[name] = np.stack([rows[k] for k in range(n)])
+            built[name] = _stack([rows[k] for k in range(n)], "init")
         init.aux0 = built
     return init
 
 
 def parse_scenario(path):
     """Read a scenario file into a ScenarioConfig (strict: unknown keys fail)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"malformed scenario file: {e}") from None
     if not read:
         raise ConfigError(f"cannot read scenario file {path!r}")
     known_sections = {"scenario", "controller.params", "control", "graph", "init"}
@@ -219,7 +234,7 @@ def parse_scenario(path):
     unknown = set(sc.keys()) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"scenario: unknown keys {sorted(unknown)}")
-    if int(sc.get("schema", "-1")) != SCHEMA:
+    if _scalar(sc.get("schema", "-1"), "schema", int) != SCHEMA:
         raise ConfigError(f"schema: expected {SCHEMA}")
     for req in ("group", "agents", "controller", "t_end"):
         if req not in sc:

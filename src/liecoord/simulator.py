@@ -1,9 +1,10 @@
 """Closed-loop time integration on the group manifold.
 
-Group positions advance by Lie-Euler steps g <- g * exp(h xi), which keeps
-every iterate on the manifold up to rounding; auxiliary variables live in a
-vector space and advance by explicit Euler (or classical RK4 against a frozen
-position).  A run is sequential and deterministic given its config and seed.
+run is the one stepping path.  Group positions advance by Lie-Euler steps
+g <- g * exp(h xi), which keeps every iterate on the manifold up to rounding;
+auxiliary variables live in a vector space and advance by explicit Euler (or
+classical RK4 against a frozen position).  A run is sequential and
+deterministic given its config and seed.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lie import TAU_MANIFOLD
-from .groups import get_group
+from .groups import TAU_MANIFOLD, get_group
 from .controllers import ControlSetting, build_controller
 from .graphs import CommGraph
 
@@ -28,10 +28,6 @@ METRIC_NAMES = ("V_r", "V_l", "V_tr", "V_tl")
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class NumericsError(RuntimeError):
     pass
 
 
@@ -103,6 +99,8 @@ class ScenarioConfig:
             raise ConfigError("aux_integrator: must be 'euler' or 'rk4'")
         if (self.stop_metric is None) != (self.stop_below is None):
             raise ConfigError("stop_metric and stop_below go together")
+        if self.stop_metric not in (None, "V_k") + METRIC_NAMES:
+            raise ConfigError(f"stop_metric: choose from {list(METRIC_NAMES) + ['V_k']}")
         get_group(self.group)
 
     def canonical_text(self):
@@ -209,13 +207,6 @@ def metric_traces(group, g, xi, eta, graph, t, cs=None):
 # stepping
 # ---------------------------------------------------------------------------
 
-def _check_velocity(xi):
-    bad = ~np.all(np.isfinite(xi), axis=-1)
-    if np.any(bad):
-        ids = np.nonzero(bad)[0].tolist()
-        raise NumericsError(f"non-finite velocity for agent(s) {ids}")
-
-
 def _advance(group, state, out, h, controller, graph, aux_integrator):
     g_new = group.compose(state.g, group.exp(h * out.xi))
     if aux_integrator == "euler" or not out.aux_dot:
@@ -235,16 +226,6 @@ def _advance(group, state, out, h, controller, graph, aux_integrator):
             for k in k1
         }
     return SwarmState(state.t + h, g_new, aux_new)
-
-
-def step(group, state, controller, graph, h, aux_integrator="euler"):
-    """One closed-loop step; returns the new state and the controller output
-    that produced it."""
-    if not (h > 0.0):
-        raise ConfigError("h: must be > 0")
-    out = controller.output(state, graph)
-    _check_velocity(out.xi)
-    return _advance(group, state, out, h, controller, graph, aux_integrator), out
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +268,6 @@ class _EventLog:
         else:
             self._events[key] = Event(t, kind, agent, detail)
 
-    def merge_controller_events(self, t, events):
-        for kind, agent, detail in events:
-            self.add(t, kind, agent, detail)
-
     def as_list(self):
         return sorted(self._events.values(), key=lambda e: (e.t, e.kind, e.agent or 0))
 
@@ -320,19 +297,23 @@ def run(cfg):
     metric_rec["V_k"] = np.zeros((s_max, cfg.n_agents))
 
     log = _EventLog()
-    completed = True
     s = 0
     next_rec = set(rec_idx)
 
     for i in range(n_steps + 1):
         out = controller.output(state, graph=cfg.graph)
-        _check_velocity(out.xi)
-        log.merge_controller_events(state.t, out.events)
+        bad = ~np.all(np.isfinite(out.xi), axis=-1)
+        if np.any(bad):
+            ids = np.nonzero(bad)[0].tolist()
+            log.add(state.t, "blowup",
+                    detail=f"non-finite velocity for agent(s) {ids}; run aborted")
+            break
+        for kind, agent, detail in out.events:
+            log.add(state.t, kind, agent, detail)
         stop = False
         if i in next_rec:
             if float(np.max(np.abs(group.embed(state.g)))) > BLOWUP_NORM:
                 log.add(state.t, "blowup", detail="state norm exceeded 1e12; run aborted")
-                completed = False
                 stop = True
             times[s] = state.t
             g_rec[s] = state.g
@@ -347,7 +328,6 @@ def run(cfg):
             if not all(np.all(np.isfinite(v[s] if np.ndim(v[s]) else [v[s]]))
                        for v in metric_rec.values()):
                 log.add(state.t, "blowup", detail="non-finite metrics; run aborted")
-                completed = False
                 stop = True
             s += 1
             if not stop and cfg.stop_metric is not None:
@@ -362,10 +342,14 @@ def run(cfg):
         state = _advance(group, state, out, cfg.h, controller, cfg.graph, cfg.aux_integrator)
         if cfg.reproject_every and (i + 1) % cfg.reproject_every == 0:
             defect = float(np.max(group.manifold_defect(state.g)))
+            if not math.isfinite(defect):
+                log.add(state.t, "blowup", detail="non-finite position; run aborted")
+                break
             if defect > TAU_MANIFOLD:
                 log.add(state.t, "reproject", detail=f"manifold defect {defect:.3e} corrected")
             state = SwarmState(state.t, group.reproject(state.g), state.aux)
 
+    events = log.as_list()
     return Trajectory(
         group_name=cfg.group,
         times=times[:s],
@@ -373,8 +357,8 @@ def run(cfg):
         xi=xi_rec[:s],
         aux={k: v[:s] for k, v in aux_rec.items()},
         metrics={k: v[:s] for k, v in metric_rec.items()},
-        events=log.as_list(),
-        completed=completed,
+        events=events,
+        completed=all(e.kind != "blowup" for e in events),
         config=cfg,
     )
 
@@ -438,7 +422,7 @@ def write_trajectory_csv(traj, path):
          group.to_payload(traj.g), traj.xi, *traj.aux.values()],
         axis=-1, dtype=float,
     )
-    _write_csv(path, header, rows.reshape(s * n, -1), int_col=1)
+    _write_csv(path, header, rows.reshape(s * n, len(header)), int_col=1)
 
 
 def write_metrics_csv(traj, path):

@@ -393,3 +393,81 @@ def test_cmd_run_group_controller_mismatch(tmp_path, capsys):
     code = cli.main(["run", _write(tmp_path, bad), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_USAGE
     assert "SE(3)" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cmd_run_diverging_scenario_writes_its_files_and_exits_1(tmp_path, capsys):
+    text = RIC_SE2.format(t_end=1000.0).replace("h = 1e-3", "h = 1").replace(
+        "agents = 3", "agents = 4").replace("record_every = 10", "record_every = 100000").replace(
+        "kind = ring", "kind = complete")
+    out = tmp_path / "o"
+    code = cli.main(["run", _write(tmp_path, text), "--out", str(out)])
+    assert code == cli.EXIT_FAILURE
+    assert "aborted" in capsys.readouterr().err
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    assert manifest["status"] == "aborted"
+    assert any("kind=blowup" in e for e in manifest["events"])
+    traj, _ = cli.load_run(out)
+    assert traj.times.tolist() == [0.0]
+    assert (out / "metrics.csv").read_text().count("\n") == 2
+
+
+def test_cmd_run_blowup_at_t0_writes_header_only_files(tmp_path, capsys):
+    text = TC_OPEN_LOOP.format(p1="0 1 0", p2="1 0 0").replace("xi = 1.0 0.0 0.7",
+                                                               "xi = nan 0 0")
+    out = tmp_path / "o"
+    assert cli.main(["run", _write(tmp_path, text), "--out", str(out)]) == cli.EXIT_FAILURE
+    assert "terminal:" not in capsys.readouterr().out
+    assert (out / "trajectory.csv").read_text().count("\n") == 1
+    assert (out / "metrics.csv").read_text().count("\n") == 1
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    assert manifest["status"] == "aborted"
+    assert "agent(s) [0, 1, 2]" in manifest["events"][0]
+
+
+@pytest.mark.parametrize("controller, params, bad", [
+    ("constant", "xi = 1 0", "xi"),
+    ("underactuated_lic", "monitor_tol = tight", "monitor_tol"),
+])
+def test_cmd_run_bad_controller_param_value_is_a_usage_error(tmp_path, capsys, controller,
+                                                              params, bad):
+    text = MINIMAL.replace("controller = zero", f"controller = {controller}") + f"""
+[control]
+preset = se2_steering
+
+[controller.params]
+{params}
+"""
+    code = cli.main(["run", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"parameter {bad} must be" in err
+
+
+_EDGES = MINIMAL.replace("agents = 1", "agents = 3").replace("kind = empty", "kind = edges\nedges = {}")
+_SCHEDULE = MINIMAL.replace("kind = empty", "kind = schedule\nsegment_0 = {}")
+
+
+@pytest.mark.parametrize("text, match", [
+    (_EDGES.format("0>a"), "edge token '0>a'"),
+    (_EDGES.format("0>1>2"), "edge token '0>1>2'"),
+    (_EDGES.format("0-"), "edge token '0-'"),
+    (_SCHEDULE.format("x : 0>1"), "segment_0"),
+    (MINIMAL.replace("schema = 1", "schema = abc"), "schema"),
+    (MINIMAL + "\n[control]\nb_col_1 = 0 0 1\n", "b_col_0"),
+    (MINIMAL + "\n[control]\na = 1 0 0\n", "b_col_0"),
+    (MINIMAL + "\n[control]\nb_col_0 = 0 0 1\nb_col_1 = 1 0\n", "different lengths"),
+    (MINIMAL + "\n[init]\nkind = explicit\npose_a = 0 0 0\n", "pose_0"),
+    (MINIMAL.replace("agents = 1", "agents = 2").replace("kind = empty", "kind = complete")
+     + "\n[init]\nxi_0 = 1 0 0\nxi_1 = 1\n", "different lengths"),
+    (MINIMAL + "\n[init]\nxi_² = 1 0 0\n", "xi_"),
+    (MINIMAL + "kind = ring\n", "malformed"),
+    (MINIMAL.replace("h = 1e-2", "h = 1e-2%"), "h: expected a number"),
+    ("t_end = 1\n" + MINIMAL, "malformed"),
+    (MINIMAL.replace("seed = 0", "seed = 0\nstop_metric = V_x\nstop_below = 1"), "stop_metric"),
+], ids=["edge-letter", "edge-chain", "edge-half", "segment-time", "schema", "b-col-gap",
+        "b-col-none", "b-col-ragged", "pose-name", "aux-ragged", "aux-index", "duplicate-key",
+        "percent", "key-before-section", "stop-metric"])
+def test_parse_malformed_values_are_config_errors(tmp_path, text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_scenario(_write(tmp_path, text))

@@ -282,6 +282,20 @@ def test_build_controller_rejects_unknown_params(name, group, cs, params, bad):
         assert "monitor_tol" in str(err.value)      # the allowed keys are listed
 
 
+@pytest.mark.parametrize("name, group, cs, params, bad", [
+    ("constant", SE2, None, {"xi": np.array([1.0, 0.0])}, "xi"),
+    ("constant", SO3, None, {"xi": "fast"}, "xi"),
+    ("tc_right_frozen", SE3, None, {"xi_r": 1.0}, "xi_r"),
+    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"monitor_tol": "tight"},
+     "monitor_tol"),
+    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"monitor_tol": np.ones(2)},
+     "monitor_tol"),
+])
+def test_build_controller_rejects_bad_param_values(name, group, cs, params, bad):
+    with pytest.raises(ControllerError, match=f"parameter {bad} must be"):
+        build_controller(name, group, cs=cs, params=params)
+
+
 def test_tc_left_controller_rejects_infeasible_initial_aux():
     cs = ControlSetting.so3_two_axis(drift=True)
     ctrl = build_controller("tc_left_cascade", SO3, cs=cs)
@@ -698,10 +712,24 @@ def test_every_spec_runs_with_its_declared_aux_shapes(name, group_name, integrat
 
 @pytest.mark.parametrize("name, group_name", _SPEC_CASES)
 def test_every_spec_runs_on_a_stacked_batch(name, group_name):
-    # a (2, N, ...) state gives each member's (N, ...) output; events aside
     group = GROUPS[group_name]
     cs, params = _run_args(name, group)
-    ctrl = build_controller(name, group, cs=cs, params=params)
+    _check_stacked_batch(build_controller(name, group, cs=cs, params=params), group)
+
+
+def test_stacked_underactuated_lic_reports_member_events():
+    # the crafted sign-condition violation of
+    # test_assumption_monitor_fires_on_crafted_violation fires in a member
+    b = np.zeros((6, 1))
+    b[1, 0] = b[5, 0] = 1.0 / np.sqrt(2.0)
+    cs = ControlSetting(np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), b)
+    events = _check_stacked_batch(build_controller("underactuated_lic", SE3, cs=cs), SE3)
+    assert events and all(kind == "assumption_violation" for kind, _, _ in events)
+
+
+def _check_stacked_batch(ctrl, group):
+    """A (2, N, ...) state gives each member's (N, ...) output, and the
+    members' events in member order; returns the batch events."""
     rng = np.random.default_rng(35)
     n = 4
     graph = CommGraph(n, [(0.0, [(0, 1), (1, 2), (2, 0), (3, 0), (1, 3)]),
@@ -716,13 +744,16 @@ def test_every_spec_runs_on_a_stacked_batch(name, group_name):
         assert batch.shape == ref.shape
         assert np.all(np.abs(batch - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    all_events = []
     for t in (0.2, 0.7):
         state = SwarmState(t, g, aux)
         out = ctrl.output(state, graph)
         eta = ctrl.eta_for_metrics(state)
+        events = []
         for b in range(2):
             member = SwarmState(t, g[b], {f: v[b] for f, v in aux.items()})
             ref = ctrl.output(member, graph)
+            events += ref.events
             close(out.xi[b], ref.xi)
             assert out.aux_dot.keys() == ref.aux_dot.keys()
             for f in ref.aux_dot:
@@ -731,3 +762,6 @@ def test_every_spec_runs_on_a_stacked_batch(name, group_name):
             assert (eta is None) == (ref_eta is None)
             if ref_eta is not None:
                 close(eta[b], ref_eta)
+        assert out.events == events
+        all_events += events
+    return all_events

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import liecoord
-from liecoord.lie import GroupError, matvec
 from liecoord.groups import (
-    GROUPS, SE2, SE3, SO3, cross3, get_group, hat, is_unitary_adjoint, polar_rotation,
-    so3_exp, vee,
+    GROUPS, SE2, SE3, SO3, GroupError, cross3, get_group, hat, is_unitary_adjoint, matvec,
+    polar_rotation, so3_exp, vee,
 )
 from liecoord.analysis import cm_algebra_basis
 

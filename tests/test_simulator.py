@@ -11,7 +11,6 @@ from liecoord.simulator import (
     METRIC_NAMES,
     ConfigError,
     InitSpec,
-    NumericsError,
     ScenarioConfig,
     SwarmState,
     Trajectory,
@@ -20,7 +19,6 @@ from liecoord.simulator import (
     read_manifest,
     read_trajectory_csv,
     run,
-    step,
     write_manifest,
     write_metrics_csv,
     write_trajectory_csv,
@@ -44,44 +42,70 @@ def _cfg(**kw):
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# single steps, through run
 # ---------------------------------------------------------------------------
+
+def _one_step(group, controller, g0, graph, h, params=None):
+    """A one-step run from the explicit positions g0."""
+    cfg = ScenarioConfig(group=group.name, n_agents=len(g0), controller=controller,
+                         controller_params=params or {}, graph=graph, t_end=h, h=h,
+                         record_every=1, init=InitSpec(kind="explicit", g0=g0))
+    return run(cfg)
+
 
 def test_step_zero_velocity_is_identity():
     rng = np.random.default_rng(0)
     g = SE3.random(rng, 3)
-    ctrl = build_controller("zero", SE3)
-    state = SwarmState(0.0, g, {})
-    new, out = step(SE3, state, ctrl, CommGraph.complete(3), h=0.1)
-    assert np.array_equal(new.g, g)
-    assert np.all(out.xi == 0.0)
+    traj = _one_step(SE3, "zero", g, CommGraph.complete(3), h=0.1)
+    assert np.array_equal(traj.g[1], g)
+    assert np.all(traj.xi == 0.0)
 
 
 def test_step_se2_unit_forward():
     theta = 0.7
     g = SE2.make(np.array([[1.0, 2.0]]), np.array([theta]))
-    ctrl = build_controller("constant", SE2, params={"xi": np.array([1.0, 0.0, 0.0])})
-    state = SwarmState(0.0, g, {})
-    new, _ = step(SE2, state, ctrl, CommGraph.empty(1), h=1.0)
+    traj = _one_step(SE2, "constant", g, CommGraph.empty(1), h=1.0,
+                     params={"xi": np.array([1.0, 0.0, 0.0])})
     expect = g[0, :2] + np.array([np.cos(theta), np.sin(theta)])
-    assert np.allclose(new.g[0, :2], expect)
-    assert new.g[0, 2] == pytest.approx(theta)
+    assert np.allclose(traj.g[1, 0, :2], expect)
+    assert traj.g[1, 0, 2] == pytest.approx(theta)
 
 
 def test_step_so3_body_axis_rotation():
     rng = np.random.default_rng(1)
     Q = SO3.random(rng, 1)
-    ctrl = build_controller("constant", SO3, params={"xi": np.array([0.0, 0.0, np.pi / 2])})
-    state = SwarmState(0.0, Q, {})
-    new, _ = step(SO3, state, ctrl, CommGraph.empty(1), h=1.0)
-    assert np.allclose(new.g[0], Q[0] @ so3_exp(np.pi / 2 * E3), atol=1e-14)
+    traj = _one_step(SO3, "constant", Q, CommGraph.empty(1), h=1.0,
+                     params={"xi": np.array([0.0, 0.0, np.pi / 2])})
+    assert np.allclose(traj.g[1, 0], Q[0] @ so3_exp(np.pi / 2 * E3), atol=1e-14)
 
 
 def test_step_rejects_nonfinite_velocity():
-    ctrl = build_controller("constant", SE2, params={"xi": np.array([np.nan, 0.0, 0.0])})
-    state = SwarmState(0.0, SE2.identity_like(2), {})
-    with pytest.raises(NumericsError, match="agent"):
-        step(SE2, state, ctrl, CommGraph.empty(2), h=0.1)
+    traj = _one_step(SE2, "constant", SE2.identity_like(2), CommGraph.empty(2), h=0.1,
+                     params={"xi": np.array([np.nan, 0.0, 0.0])})
+    assert not traj.completed and len(traj.times) == 0
+    [event] = traj.events
+    assert event.kind == "blowup" and event.t == 0.0
+    assert "agent(s) [0, 1]" in event.detail
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("group, t_abort, detail", [
+    ("so3", 400.0, "non-finite position"),
+    ("se2", 646.0, "non-finite velocity for agent(s)"),
+    ("se3", 400.0, "non-finite position"),
+])
+def test_diverging_run_ends_in_a_recorded_blowup(group, t_abort, detail):
+    # consensus at h = 1 on complete(4) multiplies the disagreement by -3 per
+    # step until it overflows; only the sample at t = 0 is recorded
+    cfg = _cfg(group=group, n_agents=4, graph=CommGraph.complete(4), h=1.0,
+               t_end=1000.0, record_every=100000)
+    traj = run(cfg)
+    assert not traj.completed
+    assert traj.times.tolist() == [0.0]
+    assert np.all(np.isfinite(traj.g)) and np.all(np.isfinite(traj.xi))
+    [event] = traj.events
+    assert (event.kind, event.t) == ("blowup", t_abort)
+    assert event.detail.startswith(detail)
 
 
 # ---------------------------------------------------------------------------
