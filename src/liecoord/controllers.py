@@ -200,10 +200,11 @@ def tc_left_cascade_rhs(group, g, eta, graph, t=0.0, cs=None):
     """
     eta = np.asarray(eta, dtype=float)
     A, deg = graph.in_terms(t)
-    q = group.pairing(eta, _disagreement(A, deg, eta, _adjoint_frames(group, g)))
+    own = deg[:, None] * eta        # the deg-weighted term of both sums, computed once
+    q = group.pairing(eta, own - _neighbor_sum(A, eta, _adjoint_frames(group, g)))
     if _underactuated(cs):
         q = cs.project_range(q)
-    return eta + q, _consensus(A, deg, eta)
+    return eta + q, _neighbor_sum(A, eta) - own
 
 
 def double_bracket_field(group, eta, graph, t=0.0):
@@ -424,6 +425,11 @@ class Controller:
         self.spec = spec
         self.group = group
         self.cs = spec.cs() if cs is None and spec.cs is not None else cs
+        if self.cs is not None and self.cs.n != group.dim:
+            raise ControllerError(
+                f"{name}: control setting of dimension {self.cs.n}, but {group.name} "
+                f"has algebra dimension {group.dim}"
+            )
         self.aux_dims = {f: group.dim if dim is None else dim for f, dim, _ in spec.aux}
         self.aux_fields = tuple(self.aux_dims)
         if spec.check is not None:

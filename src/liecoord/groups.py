@@ -13,6 +13,15 @@ Representations (trailing array shapes):
 Algebra bases: SO(3) (w1, w2, w3); SE(2) (v1, v2, w); SE(3) (v1, v2, v3,
 w1, w2, w3).  Exponentials use closed forms with Taylor fallbacks below
 angle 1e-6 to avoid 0/0 in the Rodrigues-type coefficients.
+
+The fallback series are evaluated only when some angle of the call is below
+the switch.  np.where(small, series, closed) alone would not skip them: both
+of its branches are computed in full before it selects, which costs about ten
+ufunc calls per exp on the few-agent arrays of a simulation step, where no
+angle is small.  np.where still selects per entry when one is, so the result
+is the same bit for bit.  The rotation angle is taken as
+sqrt(add.reduce(w * w)), which is what np.linalg.norm computes after its
+Python-level dispatch.
 """
 
 import numpy as np
@@ -21,6 +30,8 @@ import numpy as np
 TAU_MANIFOLD = 1e-9
 _SMALL_ANGLE = 1e-6
 _I3 = np.eye(3)
+# positions of r and of Q row by row in a flattened 4x4 SE(3) matrix
+_SE3_EMBED_ORDER = np.array([3, 7, 11, 0, 1, 2, 4, 5, 6, 8, 9, 10])
 
 
 class GroupError(ValueError):
@@ -37,26 +48,29 @@ def cross3(x, y):
 
     Bit for bit the same as np.cross, which the library does not call: on the
     few-agent arrays of a simulation step, np.cross spends most of its time in
-    moveaxis and axis normalisation rather than in the six products.
+    moveaxis and axis normalisation rather than in the six products.  Each
+    difference is written straight into its output column.
     """
     x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
     y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-    out = np.empty(np.broadcast(x, y).shape)
-    out[..., 0] = x1 * y2 - x2 * y1
-    out[..., 1] = x2 * y0 - x0 * y2
-    out[..., 2] = x0 * y1 - x1 * y0
+    p = x1 * y2
+    out = np.empty(p.shape + (3,))
+    np.subtract(p, x2 * y1, out=out[..., 0])
+    np.subtract(x2 * y0, x0 * y2, out=out[..., 1])
+    np.subtract(x0 * y1, x1 * y0, out=out[..., 2])
     return out
 
 
 def hat(w):
     """Skew matrix of a 3-vector: hat(w) @ x == cross(w, x)."""
     w = np.asarray(w, dtype=float)
+    neg = -w                      # one negation instead of three
     out = np.zeros(w.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -w[..., 2]
+    out[..., 0, 1] = neg[..., 2]
     out[..., 0, 2] = w[..., 1]
     out[..., 1, 0] = w[..., 2]
-    out[..., 1, 2] = -w[..., 0]
-    out[..., 2, 0] = -w[..., 1]
+    out[..., 1, 2] = neg[..., 0]
+    out[..., 2, 0] = neg[..., 1]
     out[..., 2, 1] = w[..., 0]
     return out
 
@@ -86,7 +100,10 @@ def rot2(theta):
 
 def wrap_angle(theta):
     """Wrap angles to (-pi, pi]; ties at pi map to pi."""
-    return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+    out = np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+    # np.mod rounds a remainder just below 2 pi up to 2 pi (theta one ulp
+    # above pi), which would give -pi
+    return np.where(out == -np.pi, np.pi, out)
 
 
 def polar_rotation(M):
@@ -201,26 +218,37 @@ class LieGroup:
         return f"<LieGroup {self.name}>"
 
 
+def _rotation_angle(w):
+    """|w| over the last axis, as np.linalg.norm computes it."""
+    return np.sqrt(np.add.reduce(w * w, axis=-1))
+
+
 def _angle_terms(theta):
-    """theta^2, the small-angle mask, theta with masked entries set to 1, and
-    the sine and cosine of the latter."""
-    t2 = theta * theta
+    """The small-angle mask, or None when no angle is below the switch; theta
+    with the masked entries set to 1; and the sine and cosine of the latter."""
     small = theta < _SMALL_ANGLE
+    if not np.count_nonzero(small):     # cheaper than small.any() on a few angles
+        return None, theta, np.sin(theta), np.cos(theta)
     safe = np.where(small, 1.0, theta)
-    return t2, small, safe, np.sin(safe), np.cos(safe)
+    return small, safe, np.sin(safe), np.cos(safe)
 
 
-def _rodrigues_coeffs(t2, small, safe, sin, cos):
-    """Coefficients (sin t / t, (1 - cos t) / t^2) with small-angle series."""
-    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sin / safe)
-    b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - cos) / (safe * safe))
+def _rodrigues_coeffs(theta, small, safe, sin, cos):
+    """Coefficients (sin t / t, (1 - cos t) / t^2), by their series where small."""
+    a = sin / safe
+    b = (1.0 - cos) / (safe * safe)
+    if small is not None:
+        t2 = theta * theta
+        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, a)
+        b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, b)
     return a, b
 
 
 def so3_exp(w):
     """Rodrigues formula, batched over leading axes."""
     w = np.asarray(w, dtype=float)
-    a, b = _rodrigues_coeffs(*_angle_terms(np.linalg.norm(w, axis=-1)))
+    theta = _rotation_angle(w)
+    a, b = _rodrigues_coeffs(theta, *_angle_terms(theta))
     K = hat(w)
     return _I3 + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
@@ -351,12 +379,15 @@ class SE2Group(LieGroup):
 
     def exp(self, xi):
         xi = self.require_algebra(xi)
-        w = np.abs(xi[..., 2])
-        a, _ = _rodrigues_coeffs(*_angle_terms(w))
-        small = w < _SMALL_ANGLE
-        safe = np.where(small, 1.0, xi[..., 2])
-        t2 = xi[..., 2] * xi[..., 2]
-        b = np.where(small, xi[..., 2] / 2.0 - xi[..., 2] * t2 / 24.0, (1.0 - np.cos(safe)) / safe)
+        theta = xi[..., 2]
+        w = np.abs(theta)
+        terms = _angle_terms(w)
+        a, _ = _rodrigues_coeffs(w, *terms)
+        small = terms[0]
+        safe = theta if small is None else np.where(small, 1.0, theta)
+        b = (1.0 - np.cos(safe)) / safe
+        if small is not None:
+            b = np.where(small, theta / 2.0 - theta * (theta * theta) / 24.0, b)
         A = np.empty(xi.shape[:-1] + (2, 2))
         A[..., 0, 0] = a
         A[..., 0, 1] = -b
@@ -467,9 +498,12 @@ class SE3Group(LieGroup):
         """
         xi = self.require_algebra(xi)
         v, w = xi[..., :3], xi[..., 3:]
-        t2, small, safe, sin, cos = terms = _angle_terms(np.linalg.norm(w, axis=-1))
-        a, b = _rodrigues_coeffs(*terms)
-        c = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - sin) / (safe ** 3))
+        theta = _rotation_angle(w)
+        small, safe, sin, cos = terms = _angle_terms(theta)
+        a, b = _rodrigues_coeffs(theta, *terms)
+        c = (safe - sin) / (safe ** 3)
+        if small is not None:
+            c = np.where(small, 1.0 / 6.0 - theta * theta / 120.0, c)
         a, b, c = a[..., None, None], b[..., None, None], c[..., None, None]
         K = hat(w)
         KK = K @ K
@@ -495,11 +529,10 @@ class SE3Group(LieGroup):
         return self.make(r, Q)
 
     def embed(self, g):
+        """(x, y, z, Q00, Q01, ..., Q22), gathered in one copy from the
+        flattened matrix."""
         g = self.require_element(g)
-        Q = g[..., :3, :3]
-        return np.concatenate(
-            [g[..., :3, 3], Q.reshape(Q.shape[:-2] + (9,))], axis=-1
-        )
+        return np.take(g.reshape(g.shape[:-2] + (16,)), _SE3_EMBED_ORDER, axis=-1)
 
     def to_payload(self, g):
         return self.embed(g)

@@ -444,6 +444,15 @@ preset = se2_steering
     assert err.startswith("error:") and f"parameter {bad} must be" in err
 
 
+def test_cmd_run_control_setting_of_the_wrong_size_is_a_usage_error(tmp_path, capsys):
+    text = MINIMAL.replace("group = se2", "group = so3").replace(
+        "controller = zero", "controller = tc_left_cascade") + "\n[control]\npreset = se3_steering\n"
+    code = cli.main(["run", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dimension 6, but so3 has algebra dimension 3" in err
+
+
 _EDGES = MINIMAL.replace("agents = 1", "agents = 3").replace("kind = empty", "kind = edges\nedges = {}")
 _SCHEDULE = MINIMAL.replace("kind = empty", "kind = schedule\nsegment_0 = {}")
 

@@ -296,6 +296,20 @@ def test_build_controller_rejects_bad_param_values(name, group, cs, params, bad)
         build_controller(name, group, cs=cs, params=params)
 
 
+@pytest.mark.parametrize("name, group, cs", [
+    ("tc_left_cascade", SO3, ControlSetting.se3_steering()),
+    ("underactuated_lic", SE3, ControlSetting.so3_two_axis()),
+    ("constant", SE2, ControlSetting.fully(6)),
+    ("zero", SE3, ControlSetting.se2_steering()),
+])
+def test_build_controller_rejects_a_control_setting_of_the_wrong_size(name, group, cs):
+    with pytest.raises(ControllerError) as err:
+        build_controller(name, group, cs=cs)
+    msg = str(err.value)
+    assert msg.startswith(name) and f"dimension {cs.n}," in msg
+    assert f"{group.name} has algebra dimension {group.dim}" in msg
+
+
 def test_tc_left_controller_rejects_infeasible_initial_aux():
     cs = ControlSetting.so3_two_axis(drift=True)
     ctrl = build_controller("tc_left_cascade", SO3, cs=cs)

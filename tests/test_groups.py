@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import liecoord
 from liecoord.groups import (
     GROUPS, SE2, SE3, SO3, GroupError, cross3, get_group, hat, is_unitary_adjoint, matvec,
-    polar_rotation, so3_exp, vee,
+    polar_rotation, so3_exp, vee, wrap_angle,
 )
 from liecoord.analysis import cm_algebra_basis
 
@@ -376,6 +378,138 @@ def test_one_pass_exp_equals_composition_bitwise_on_a_batch():
     assert np.array_equal(so3_exp(xi[..., 3:]), _so3_exp_reference(xi[..., 3:]))
 
 
+def _se2_exp_reference(xi):
+    """SE(2) exp with np.where over fully evaluated series and closed forms:
+    the reference for SE2.exp."""
+    w = np.abs(xi[..., 2])
+    small = w < 1e-6
+    safe_w = np.where(small, 1.0, w)
+    w2 = w * w
+    a = np.where(small, 1.0 - w2 / 6.0 + w2 * w2 / 120.0, np.sin(safe_w) / safe_w)
+    safe = np.where(small, 1.0, xi[..., 2])
+    t2 = xi[..., 2] * xi[..., 2]
+    b = np.where(small, xi[..., 2] / 2.0 - xi[..., 2] * t2 / 24.0, (1.0 - np.cos(safe)) / safe)
+    A = np.empty(xi.shape[:-1] + (2, 2))
+    A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1] = a, -b, b, a
+    return SE2.make(matvec(A, xi[..., :2]), xi[..., 2])
+
+
+def _hat_reference(w):
+    """hat with one negation per entry: the reference for hat."""
+    out = np.zeros(w.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -w[..., 2]
+    out[..., 0, 2] = w[..., 1]
+    out[..., 1, 0] = w[..., 2]
+    out[..., 1, 2] = -w[..., 0]
+    out[..., 2, 0] = -w[..., 1]
+    out[..., 2, 1] = w[..., 0]
+    return out
+
+
+def _se3_embed_reference(g):
+    """SE(3) embedding as the concatenation of r and the reshaped rotation."""
+    Q = g[..., :3, :3]
+    return np.concatenate([g[..., :3, 3], Q.reshape(Q.shape[:-2] + (9,))], axis=-1)
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+BATCH_SHAPES = [(), (3,), (4,), (256,), (2, 3)]
+# angles at and around the series switch, near pi, and in between
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, _SWITCH, np.nextafter(_SWITCH, 0.0), np.nextafter(_SWITCH, 1.0),
+                     np.pi - 1e-9, np.pi]),
+    st.floats(0.0, _SWITCH, exclude_max=True),
+    st.floats(_SWITCH, 1e-5),
+    st.floats(np.pi - 1e-6, np.pi),
+    st.floats(0.0, 4.0),
+)
+# translations around 1e6, and small ones
+_TRANSLATIONS = st.one_of(st.floats(-2e6, 2e6), st.sampled_from([1e6, -1e6]),
+                          st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _rotation_batches(draw, shapes=BATCH_SHAPES):
+    """(w, v): rotation vectors and translations of one drawn batch shape.  A
+    batch of two or more has angles on both sides of the series switch."""
+    shape = draw(st.sampled_from(shapes))
+    theta = np.array(draw(hnp.arrays(float, shape, elements=_ANGLES)))
+    if theta.size > 1:
+        theta.flat[0] = draw(st.floats(0.0, 0.99 * _SWITCH))
+        theta.flat[-1] = draw(st.floats(1.01 * _SWITCH, np.pi))
+    axis = draw(hnp.arrays(float, shape + (3,), elements=st.floats(-1.0, 1.0)))
+    norm = np.linalg.norm(axis, axis=-1, keepdims=True)
+    axis = np.where(norm > 0.1, axis / np.maximum(norm, 0.1), E3)
+    v = draw(hnp.arrays(float, shape + (3,), elements=_TRANSLATIONS))
+    return theta[..., None] * axis, v
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes: unlike np.array_equal, -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(_rotation_batches())
+def test_changed_kernels_equal_their_previous_forms_bitwise(batch):
+    w, v = batch
+    theta = np.linalg.norm(w, axis=-1)
+    if theta.size > 1:
+        assert np.any(theta < _SWITCH) and np.any(theta >= _SWITCH)
+    assert _same_bits(so3_exp(w), _so3_exp_reference(w))
+    xi = np.concatenate([v, w], axis=-1)
+    g = SE3.exp(xi)
+    assert _same_bits(g, _se3_exp_reference(xi))
+    assert _same_bits(SE3.embed(g), _se3_embed_reference(g))
+    # SE(2): the signed angle is the rotation vector's third entry's sign times |w|
+    xi2 = np.concatenate([v[..., :2], np.copysign(theta, w[..., 2])[..., None]], axis=-1)
+    assert _same_bits(SE2.exp(xi2), _se2_exp_reference(xi2))
+    assert _same_bits(hat(w), _hat_reference(w))
+    assert _same_bits(cross3(w, v), np.cross(w, v))
+
+
+@st.composite
+def _elements(draw, group):
+    """A stack of 4 elements, the algebra vectors whose exp gives them, and
+    their rotation angles: angles near pi and around the switch, translations
+    around 1e6."""
+    w, v = draw(_rotation_batches(shapes=[(4,)]))
+    theta = np.linalg.norm(w, axis=-1)
+    if group is SO3:
+        return so3_exp(w), w, theta
+    if group is SE3:
+        return SE3.make(v, so3_exp(w)), np.concatenate([v, w], axis=-1), theta
+    theta = np.copysign(theta, w[..., 2])
+    xi = np.concatenate([v[..., :2], theta[..., None]], axis=-1)
+    return SE2.make(v[..., :2], theta), xi, np.abs(theta)
+
+
+@pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
+@PROPERTY
+@given(data=st.data())
+def test_group_axioms_at_extreme_angles_and_translations(group, data):
+    (g, xi, theta), (h, _, _), (k, _, _) = (data.draw(_elements(group)) for _ in range(3))
+    scale = 1.0 + max(float(np.max(np.abs(group.embed(x)))) for x in (g, h, k))
+    tol = 64 * np.finfo(float).eps * scale
+    e = group.identity()
+    assert group.allclose(group.compose(g, e), g, tol) and group.allclose(group.compose(e, g), g, tol)
+    assert group.allclose(group.compose(g, group.inverse(g)), e, tol)
+    assert group.allclose(group.compose(group.inverse(g), g), e, tol)
+    assert group.allclose(group.compose(group.compose(g, h), k),
+                          group.compose(g, group.compose(h, k)), tol)
+    Ad = group.adjoint_matrix
+    assert np.max(np.abs(Ad(group.compose(g, h)) - Ad(g) @ Ad(h))) <= tol
+    # just above the switch, (1 - cos t) / t^2 loses digits to cancellation,
+    # and the translation part of exp carries that error times |v| t
+    big = max(1.0, float(np.max(np.abs(xi))))
+    closed = theta[theta >= _SWITCH]
+    cond = 1.0 / min(1.0, float(np.min(closed))) if closed.size else 1.0
+    assert group.allclose(group.compose(group.exp(xi), group.exp(-xi)), e,
+                          64 * np.finfo(float).eps * big * cond)
+    assert np.max(group.manifold_defect(group.exp(xi))) < 1e-12
+
+
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
 def test_exp_lands_on_manifold(group):
     rng = rng_for(group.name, 12)
@@ -485,6 +619,15 @@ def test_payload_round_trip(group):
     back = group.from_payload(group.to_payload(g))
     assert group.allclose(back, g, tol=1e-15)
     assert len(group.payload_columns) == group.to_payload(g).shape[-1]
+
+
+@pytest.mark.parametrize("theta", [np.nextafter(np.pi, 4.0), -np.pi, np.pi + 2.0 * np.pi])
+def test_wrapped_angle_stays_in_the_half_open_interval(theta):
+    # one ulp above pi, np.mod's remainder rounds up to 2 pi
+    wrapped = wrap_angle(theta)
+    assert -np.pi < wrapped <= np.pi and wrap_angle(wrapped) == wrapped
+    g = SE2.exp(np.array([0.0, 0.0, theta]))
+    SE2.check(g)
 
 
 def test_se2_angle_wrapping():

@@ -1,5 +1,7 @@
 """Integration loop: stepping, runs, metrics, determinism, export round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,13 +92,15 @@ def test_step_rejects_nonfinite_velocity():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("group, t_abort, detail", [
-    ("so3", 400.0, "non-finite position"),
+    ("so3", 325.0, "non-finite position"),
     ("se2", 646.0, "non-finite velocity for agent(s)"),
-    ("se3", 400.0, "non-finite position"),
+    ("se3", 324.0, "non-finite position"),
 ])
 def test_diverging_run_ends_in_a_recorded_blowup(group, t_abort, detail):
     # consensus at h = 1 on complete(4) multiplies the disagreement by -3 per
-    # step until it overflows; only the sample at t = 0 is recorded
+    # step until it overflows; only the sample at t = 0 is recorded.  A
+    # position is checked at every step, so the abort comes at the first step
+    # with a non-finite position, the same as with reprojection at every step
     cfg = _cfg(group=group, n_agents=4, graph=CommGraph.complete(4), h=1.0,
                t_end=1000.0, record_every=100000)
     traj = run(cfg)
@@ -105,7 +109,8 @@ def test_diverging_run_ends_in_a_recorded_blowup(group, t_abort, detail):
     assert np.all(np.isfinite(traj.g)) and np.all(np.isfinite(traj.xi))
     [event] = traj.events
     assert (event.kind, event.t) == ("blowup", t_abort)
-    assert event.detail.startswith(detail)
+    assert event.detail.startswith(detail) and " for agent(s) [" in event.detail
+    assert run(replace(cfg, reproject_every=1)).events == traj.events
 
 
 # ---------------------------------------------------------------------------
