@@ -76,7 +76,7 @@ def cmd_run(args):
 
 
 def load_run(run_dir):
-    """Rebuild a Trajectory (without config) from an output directory."""
+    """Rebuild a Trajectory, with its events but without config, from an output directory."""
     run_dir = Path(run_dir)
     manifest = simulator.read_manifest(run_dir / "manifest.txt")
     times, g, xi, aux = simulator.read_trajectory_csv(
@@ -84,8 +84,9 @@ def load_run(run_dir):
     )
     return Trajectory(
         group_name=manifest["group"],
-        times=times, g=g, xi=xi, aux=aux,
-        metrics={}, events=[], completed=manifest.get("status") == "completed",
+        times=times, g=g, xi=xi, aux=aux, metrics={},
+        events=[simulator.Event(**e) for e in manifest["events"]],
+        completed=manifest["status"] == "completed",
     ), manifest
 
 
@@ -163,7 +164,7 @@ def cmd_sweep(args):
     lines = [",".join(header)]
     for overrides, seed, row in results:
         cells = [format(overrides.get(k, ""), "") for k in keys] + [str(seed)]
-        cells += [simulator._fmt(row[c]) if c not in ("tc", "completed") else str(row[c])
+        cells += [format(float(row[c]), ".17g") if c not in ("tc", "completed") else str(row[c])
                   for c in metric_cols]
         lines.append(",".join(str(c) for c in cells))
     table = "\n".join(lines) + "\n"

@@ -233,15 +233,22 @@ def _angle_terms(theta):
     return small, safe, np.sin(safe), np.cos(safe)
 
 
-def _rodrigues_coeffs(theta, small, safe, sin, cos):
-    """Coefficients (sin t / t, (1 - cos t) / t^2), by their series where small."""
+def _sinc(theta, small, safe, sin):
+    """sin t / t, by its series where small."""
     a = sin / safe
-    b = (1.0 - cos) / (safe * safe)
     if small is not None:
         t2 = theta * theta
         a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, a)
+    return a
+
+
+def _rodrigues_coeffs(theta, small, safe, sin, cos):
+    """Coefficients (sin t / t, (1 - cos t) / t^2), by their series where small."""
+    b = (1.0 - cos) / (safe * safe)
+    if small is not None:
+        t2 = theta * theta
         b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, b)
-    return a, b
+    return _sinc(theta, small, safe, sin), b
 
 
 def so3_exp(w):
@@ -381,11 +388,11 @@ class SE2Group(LieGroup):
         xi = self.require_algebra(xi)
         theta = xi[..., 2]
         w = np.abs(theta)
-        terms = _angle_terms(w)
-        a, _ = _rodrigues_coeffs(w, *terms)
-        small = terms[0]
+        small, safe_w, sin, cos = _angle_terms(w)
+        a = _sinc(w, small, safe_w, sin)
+        # cos is even, so the cosine of |theta| serves for (1 - cos theta) / theta
         safe = theta if small is None else np.where(small, 1.0, theta)
-        b = (1.0 - np.cos(safe)) / safe
+        b = (1.0 - cos) / safe
         if small is not None:
             b = np.where(small, theta / 2.0 - theta * (theta * theta) / 24.0, b)
         A = np.empty(xi.shape[:-1] + (2, 2))

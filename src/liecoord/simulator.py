@@ -11,15 +11,21 @@ finite, each with one whole-array reduction (_all_finite).  Only when that
 fails are the offending agents listed, and the run ends in a blowup event at
 that step, before the step is recorded; positions come first.  So a position
 that overflows is caught at the next step, not at the next reprojection.
+
+A run is exported as trajectory.csv (aux columns named aux.<field><i>),
+metrics.csv and a manifest: one JSON object holding the config as plain data
+(ScenarioConfig.record, which config_hash also hashes), the status and the
+events, so that a reloaded run keeps them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .graphs import CommGraph
 
 BLOWUP_NORM = 1e12
 CSV_BLOCK_ROWS = 256           # rows per format call in the CSV writers
+MANIFEST_SCHEMA = 2
 
 METRIC_NAMES = ("V_r", "V_l", "V_tr", "V_tl")
 
@@ -52,9 +59,8 @@ class Event:
     detail: str = ""
     count: int = 1
 
-    def format(self):
-        agent = "-" if self.agent is None else str(self.agent)
-        return f"t={self.t:.6f} kind={self.kind} agent={agent} count={self.count} detail={self.detail}"
+
+_EVENT_KEYS = {f.name for f in fields(Event)}
 
 
 @dataclass
@@ -109,34 +115,17 @@ class ScenarioConfig:
             raise ConfigError(f"stop_metric: choose from {list(METRIC_NAMES) + ['V_k']}")
         get_group(self.group)
 
-    def canonical_text(self):
-        parts = [
-            f"group={self.group}",
-            f"agents={self.n_agents}",
-            f"controller={self.controller}",
-            f"params={sorted((k, _canon(v)) for k, v in self.controller_params.items())}",
-            f"control={None if self.control is None else (_canon(self.control.a), _canon(self.control.B))}",
-            f"graph=({self.graph.n},{list(self.graph.breakpoints)},"
-            f"{[sorted(es) for es in self.graph.edge_sets]},{self.graph.period})",
-            f"h={self.h!r}", f"t_end={self.t_end!r}", f"seed={self.seed}",
-            f"reproject_every={self.reproject_every}",
-            f"record_every={self.record_every}",
-            f"aux={self.aux_integrator}",
-            f"init=({self.init.kind},{self.init.pos_scale!r},{self.init.rot_scale!r},"
-            f"{self.init.aux_scale!r},{_canon(self.init.g0)},"
-            f"{sorted((k, _canon(v)) for k, v in (self.init.aux0 or {}).items())})",
-            f"stop=({self.stop_metric},{self.stop_below!r})",
-        ]
-        return "\n".join(parts)
+    def record(self):
+        """The whole config as plain data, as JSON reads it back: the
+        manifest's "config", and what config_hash hashes."""
+        g = self.graph
+        rec = asdict(replace(self, graph=None))     # a CommGraph is not a dataclass
+        rec["graph"] = {"n": g.n, "breakpoints": g.breakpoints, "period": g.period,
+                        "edge_sets": [sorted(es) for es in g.edge_sets]}
+        return json.loads(json.dumps(rec, default=lambda x: np.asarray(x).tolist()))
 
     def config_hash(self):
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
-
-
-def _canon(x):
-    if x is None or isinstance(x, str):
-        return x
-    return np.asarray(x, dtype=float).tolist()
+        return hashlib.sha256(json.dumps(self.record(), sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -397,14 +386,12 @@ def left_translated(cfg, h0):
 # trajectory export / import
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def aux_columns(aux):
+    """Column names of the aux fields: "aux." before each, so that none can
+    repeat a pose or velocity column (an aux field may be named xi)."""
     cols = []
     for name, arr in aux.items():
-        cols.extend(f"{name}{i}" for i in range(arr.shape[-1]))
+        cols.extend(f"aux.{name}{i}" for i in range(arr.shape[-1]))
     return cols
 
 
@@ -453,38 +440,38 @@ def write_metrics_csv(traj, path):
 
 
 def write_manifest(traj, path):
+    """Write the run as one JSON object: schema, group, agents, config_hash,
+    config (ScenarioConfig.record), status and events."""
     cfg = traj.config
-    lines = [
-        "schema: 1",
-        f"config_hash: {cfg.config_hash() if cfg else 'unknown'}",
-        f"group: {traj.group_name}",
-        f"agents: {traj.n_agents}",
-        f"controller: {cfg.controller if cfg else 'unknown'}",
-        f"seed: {cfg.seed if cfg else 'unknown'}",
-        f"h: {_fmt(cfg.h) if cfg else 'unknown'}",
-        f"t_end: {_fmt(cfg.t_end) if cfg else 'unknown'}",
-        f"status: {'completed' if traj.completed else 'aborted'}",
-        "events:",
-    ]
-    lines += [f"- {e.format()}" for e in traj.events]
+    manifest = {
+        "schema": MANIFEST_SCHEMA,
+        "group": traj.group_name,
+        "agents": traj.n_agents,
+        "config_hash": None if cfg is None else cfg.config_hash(),
+        "config": None if cfg is None else cfg.record(),
+        "status": "completed" if traj.completed else "aborted",
+        "events": [asdict(e) for e in traj.events],
+    }
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        json.dump(manifest, f, indent=1)
 
 
 def read_manifest(path):
-    out = {"events": []}
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.startswith("- "):
-                out["events"].append(line[2:])
-            elif ": " in line:
-                key, val = line.split(": ", 1)
-                out[key] = val
-    return out
+    """Load a manifest that write_manifest wrote; anything else is a ConfigError."""
+    try:
+        with open(path) as f:
+            man = json.load(f)
+    except ValueError as e:     # also a UnicodeDecodeError: the file is not text
+        raise ConfigError(f"manifest is not JSON: {e}") from None
+    if not (isinstance(man, dict) and man.get("schema") == MANIFEST_SCHEMA
+            and isinstance(man.get("group"), str) and "status" in man
+            and isinstance(man.get("events"), list)
+            and all(isinstance(e, dict) and e.keys() == _EVENT_KEYS for e in man["events"])):
+        raise ConfigError(f"not a schema {MANIFEST_SCHEMA} manifest with group, status and events")
+    return man
 
 
-_TRAILING_INT = re.compile(r"^(.*?)(\d+)$")
+_AUX_COLUMN = re.compile(r"^aux\.(.*?)\d+$")
 
 
 def read_trajectory_csv(path, group_name):
@@ -504,14 +491,13 @@ def read_trajectory_csv(path, group_name):
     want = ["t", "agent"] + list(group.payload_columns) + [f"xi{i}" for i in range(group.dim)]
     if header[: len(want)] != want:
         raise ConfigError(f"unexpected trajectory header for group {group_name}")
-    aux_names = []
-    for col in header[len(want):]:
-        m = _TRAILING_INT.match(col)
+    first, end = {}, {}     # per aux field, the range of its columns
+    for i, col in enumerate(header[len(want):], len(want)):
+        m = _AUX_COLUMN.match(col)
         if m is None:
             raise ConfigError(f"unexpected trajectory column {col!r}")
-        if not aux_names or aux_names[-1][0] != m.group(1):
-            aux_names.append((m.group(1), 0))
-        aux_names[-1] = (m.group(1), aux_names[-1][1] + 1)
+        first.setdefault(m.group(1), i)
+        end[m.group(1)] = i + 1
     if len(data) == 0:
         raise ConfigError("trajectory has no rows")
     if data.shape[1] != len(header):
@@ -533,10 +519,6 @@ def read_trajectory_csv(path, group_name):
     if np.any(bad):
         raise ConfigError(f"times differ within snapshot {int(np.argmax(bad))}")
     payload = data[:, :, 2:2 + n_payload]
-    xi = data[:, :, 2 + n_payload:2 + n_payload + group.dim]
-    aux = {}
-    ofs = 2 + n_payload + group.dim
-    for name, dim in aux_names:
-        aux[name] = data[:, :, ofs:ofs + dim]
-        ofs += dim
+    xi = data[:, :, 2 + n_payload:len(want)]
+    aux = {name: data[:, :, first[name]:end[name]] for name in first}
     return times, group.from_payload(payload), xi, aux

@@ -397,7 +397,7 @@ def test_se2_steering_equivalence_check():
     rep = check_se2_lic_tc_equivalence(traj, window=2.0, tol=1e-3)
     assert rep.perp_max < 1e-12
     assert rep.formula_max < 1e-9
-    assert rep.lic_achieved and rep.ric_achieved and rep.ok
+    assert rep.lic_achieved and rep.ric_achieved and rep.equivalent
 
 
 def test_se3_steering_splitting_fails_generically():

@@ -180,9 +180,9 @@ def test_cmd_run_overrides(tmp_path):
     assert cli.main(["run", scen, "--seed", "9", "--h", "0.02", "--t-end", "0.5",
                      "--out", str(out)]) == 0
     man = simulator.read_manifest(out / "manifest.txt")
-    assert man["seed"] == "9"
-    assert float(man["h"]) == 0.02
-    assert float(man["t_end"]) == 0.5
+    assert man["config"]["seed"] == 9
+    assert man["config"]["h"] == 0.02
+    assert man["config"]["t_end"] == 0.5
 
 
 def test_cmd_run_malformed_scenario_exits_with_usage(tmp_path, capsys):
@@ -236,6 +236,7 @@ def test_cmd_check_round_trip_matches_in_process(tmp_path, capsys):
     assert cli.main(["run", scen, "--out", str(out)]) == 0
     assert cli.main(["check", str(out), "--mode", "tc", "--window", "1.0"]) == 0
     loaded, _ = cli.load_run(out)
+    assert (loaded.events, loaded.completed) == (traj.events, traj.completed)
     re_rep = analysis.check_coordination(loaded, "tc", window=1.0, tol=1e-3)
     # full-precision agreement after the CSV round trip
     assert re_rep.lambda_drift == in_proc.lambda_drift
@@ -247,6 +248,27 @@ def test_cmd_check_round_trip_matches_in_process(tmp_path, capsys):
     worst = in_proc.format().splitlines()[-1]
     assert worst.startswith("lambda_worst_pair=") and worst in capsys.readouterr().out
     assert (out / "check_tc.txt").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "garbage",
+    "[1, 2]",
+    '{"schema": 1, "group": "se2", "status": "completed", "events": []}',
+    "schema: 1\ngroup: se2\nstatus: completed\nevents:\n",
+    '{"schema": 2, "status": "completed", "events": []}',
+    '{"schema": 2, "group": "se2", "events": []}',
+    '{"schema": 2, "group": "se2", "status": "completed"}',
+    '{"schema": 2, "group": 3, "status": "completed", "events": []}',
+    '{"schema": 2, "group": "se2", "status": "completed", "events": [{"t": 0}]}',
+], ids=["not-json", "not-an-object", "schema-1", "text-manifest", "no-group", "no-status",
+        "no-events", "group-not-a-name", "event-without-its-keys"])
+def test_cmd_check_malformed_manifest_exits_with_usage(tmp_path, capsys, text):
+    out = tmp_path / "run"
+    assert cli.main(["run", "scenarios/se2_single_rest.ini", "--t-end", "0.5",
+                     "--out", str(out)]) == 0
+    (out / "manifest.txt").write_text(text)
+    assert cli.main(["check", str(out), "--mode", "lic"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cmd_check_modes_and_exit_codes(tmp_path):
@@ -406,10 +428,14 @@ def test_cmd_run_diverging_scenario_writes_its_files_and_exits_1(tmp_path, capsy
     assert "aborted" in capsys.readouterr().err
     manifest = simulator.read_manifest(out / "manifest.txt")
     assert manifest["status"] == "aborted"
-    assert any("kind=blowup" in e for e in manifest["events"])
+    assert any(e["kind"] == "blowup" for e in manifest["events"])
     traj, _ = cli.load_run(out)
     assert traj.times.tolist() == [0.0]
     assert (out / "metrics.csv").read_text().count("\n") == 2
+    # the reloaded run keeps the events and the status of the in-memory one
+    in_proc = simulator.run(parse_scenario(str(tmp_path / "scenario.ini")))
+    assert traj.events == in_proc.events and traj.events[-1].kind == "blowup"
+    assert traj.completed is in_proc.completed is False
 
 
 def test_cmd_run_blowup_at_t0_writes_header_only_files(tmp_path, capsys):
@@ -422,7 +448,11 @@ def test_cmd_run_blowup_at_t0_writes_header_only_files(tmp_path, capsys):
     assert (out / "metrics.csv").read_text().count("\n") == 1
     manifest = simulator.read_manifest(out / "manifest.txt")
     assert manifest["status"] == "aborted"
-    assert "agent(s) [0, 1, 2]" in manifest["events"][0]
+    assert manifest["events"][0]["kind"] == "blowup"
+    assert "agent(s) [0, 1, 2]" in manifest["events"][0]["detail"]
+    # the non-finite parameter is written and read back
+    xi = manifest["config"]["controller_params"]["xi"]
+    assert np.isnan(xi[0]) and xi[1:] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("controller, params, bad", [

@@ -24,7 +24,7 @@ from liecoord.controllers import (
 )
 from liecoord.graphs import CommGraph
 from liecoord.groups import GROUPS, SE2, SE3, SO3, so3_exp
-from liecoord.simulator import ScenarioConfig, SwarmState, run
+from liecoord.simulator import ScenarioConfig, SwarmState, run, write_trajectory_csv
 
 E1, E2, E3 = np.eye(3)
 
@@ -729,6 +729,18 @@ def test_every_spec_runs_on_a_stacked_batch(name, group_name):
     group = GROUPS[group_name]
     cs, params = _run_args(name, group)
     _check_stacked_batch(build_controller(name, group, cs=cs, params=params), group)
+
+
+@pytest.mark.parametrize("name, group_name", _SPEC_CASES)
+def test_every_spec_exports_unique_column_names(tmp_path, name, group_name):
+    cs, params = _run_args(name, GROUPS[group_name])
+    cfg = ScenarioConfig(group=group_name, n_agents=3, controller=name, control=cs,
+                         controller_params=params, graph=CommGraph.ring(3),
+                         t_end=0.02, h=1e-2, seed=4)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(cfg), path)
+    header = path.read_text().splitlines()[0].split(",")
+    assert len(set(header)) == len(header), header
 
 
 def test_stacked_underactuated_lic_reports_member_events():

@@ -1,4 +1,4 @@
-"""Property-based fuzzing of the two file readers: bad input raises a typed error.
+"""Property-based fuzzing of the file readers: bad input raises a typed error.
 
 Scenario files are a valid base file with some scenario lines dropped and
 key = value lines added to its sections and to others; keys are each
@@ -6,18 +6,23 @@ section's own (and a few unknown ones), values come from a pool of valid and
 malformed tokens, and free-text lines are mixed in.  The pool holds no agent
 count above 3, so no draw builds a large graph.  Trajectory files are the
 header of an export, whole or cut, with aux columns appended, followed by rows
-of numbers or of any cells.  Both runs are derandomized, so they are the same
-on every run.
+of numbers or of any cells.  Manifests are a valid one with keys dropped and
+keys set to values from a pool, as JSON text, cut or whole, or free text;
+they are read through cli.load_run next to a valid trajectory file.  All runs
+are derandomized, so they are the same on every run.
 """
+
+import json
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from liecoord import cli
 from liecoord.controllers import ControllerError
 from liecoord.graphs import GraphError
 from liecoord.groups import GROUPS, GroupError
 from liecoord.scenario import parse_scenario
-from liecoord.simulator import ConfigError, read_trajectory_csv
+from liecoord.simulator import ConfigError, Event, read_trajectory_csv
 
 TYPED = (ConfigError, ControllerError, GraphError, GroupError)
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None,
@@ -83,7 +88,8 @@ def test_read_trajectory_csv_raises_typed_errors_only(tmp_path, group_name, data
     group = GROUPS[group_name]
     header = ["t", "agent", *group.payload_columns, *(f"xi{i}" for i in range(group.dim))]
     cut = data.draw(st.integers(0, len(header)))
-    extra = data.draw(st.lists(st.sampled_from(["xi0", "eta", "eta0", "eta1", "x", "7"]),
+    extra = data.draw(st.lists(st.sampled_from(["xi0", "eta", "eta0", "eta1", "x", "7",
+                                                "aux.eta0", "aux.eta1", "aux.xi0", "aux."]),
                                max_size=3))
     header = header[:cut] + extra if data.draw(st.booleans()) else header + extra
     n_cols = data.draw(st.integers(1, len(header) + 1))
@@ -101,3 +107,36 @@ def test_read_trajectory_csv_raises_typed_errors_only(tmp_path, group_name, data
     except TYPED:
         return
     assert np.shape(times) == (g.shape[0],) and xi.shape[:2] == g.shape[:2]
+
+
+_EVENT = {"t": 0.5, "kind": "blowup", "agent": None, "detail": "d", "count": 1}
+_MANIFEST_VALUES = st.one_of(
+    st.sampled_from([None, True, 0, 1, 2, 2.0, -1, float("nan"), "", "se2", "so3", "SE2",
+                     "x", "completed", "aborted", [], {}, [1], [_EVENT], [[]]]),
+    st.lists(st.dictionaries(st.sampled_from(sorted(_EVENT) + ["x"]),
+                             st.sampled_from([None, 0, 1.5, "blowup", [], {}]), max_size=6),
+             max_size=2),
+)
+_MANIFEST_BASE = {"schema": 2, "group": "se2", "agents": 1, "config_hash": None,
+                  "config": None, "status": "completed", "events": [_EVENT]}
+_SE2_TRAJECTORY = "t,agent,x,y,theta,xi0,xi1,xi2\n" + "".join(
+    f"{t},0,0,0,0,0,0,0\n" for t in (0.0, 0.5, 1.0))
+
+
+@FUZZ
+@given(st.sets(st.sampled_from(sorted(_MANIFEST_BASE)), max_size=2),
+       st.dictionaries(st.sampled_from(sorted(_MANIFEST_BASE) + ["x"]), _MANIFEST_VALUES,
+                       max_size=3),
+       st.one_of(st.none(), st.integers(0, 200)), st.one_of(st.none(), _free_line))
+def test_load_run_manifest_raises_typed_errors_only(tmp_path, dropped, entries, cut, free):
+    man = {k: v for k, v in _MANIFEST_BASE.items() if k not in dropped}
+    man.update(entries)
+    text = json.dumps(man)[:cut] if free is None else free
+    (tmp_path / "manifest.txt").write_text(text)
+    (tmp_path / "trajectory.csv").write_text(_SE2_TRAJECTORY)
+    try:
+        traj, _ = cli.load_run(tmp_path)
+    except TYPED:
+        return
+    assert all(isinstance(e, Event) for e in traj.events)
+    assert traj.completed == (man["status"] == "completed")

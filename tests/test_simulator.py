@@ -1,6 +1,7 @@
 """Integration loop: stepping, runs, metrics, determinism, export round trips."""
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -413,7 +414,7 @@ def test_csv_round_trip_exact(tmp_path):
 
     header = path.read_text().splitlines()[0]
     assert header.startswith("t,agent,x,y,z,Q00")
-    assert header.endswith("xi0,xi1,xi2,xi3,xi4,xi5,eta_v0,eta_v1,eta_v2")
+    assert header.endswith("xi0,xi1,xi2,xi3,xi4,xi5,aux.eta_v0,aux.eta_v1,aux.eta_v2")
 
 
 def test_header_only_trajectory_csv_is_a_config_error(tmp_path):
@@ -563,10 +564,37 @@ def test_metrics_csv_header_and_manifest(tmp_path):
     man = tmp_path / "manifest.txt"
     write_manifest(traj, man)
     parsed = read_manifest(man)
+    assert parsed["schema"] == 2
     assert parsed["group"] == "se2"
+    assert parsed["agents"] == 3
     assert parsed["status"] == "completed"
     assert parsed["config_hash"] == cfg.config_hash()
-    assert read_manifest(man)["seed"] == "1"
+    assert read_manifest(man)["config"]["seed"] == 1
+    assert parsed["config"] == cfg.record()
+    assert parsed["events"] == []
+
+
+def test_config_record_is_plain_data_of_every_field():
+    g0 = SE2.make(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0.5, -0.5]))
+    cfg = _cfg(n_agents=2, graph=CommGraph(2, [(0.0, {(0, 1)}), (0.5, {(1, 0)})], period=1.0),
+               controller="underactuated_lic", control=ControlSetting.se2_steering(),
+               controller_params={"monitor_tol": 1e-6, "label": "x"},
+               init=InitSpec(kind="explicit", g0=g0, aux0={"eta": np.ones((2, 3))}),
+               stop_metric="V_tl", stop_below=1e-9)
+    rec = cfg.record()
+    assert json.loads(json.dumps(rec)) == rec
+    assert rec["graph"] == {"n": 2, "breakpoints": [0.0, 0.5], "period": 1.0,
+                            "edge_sets": [[[0, 1]], [[1, 0]]]}
+    assert rec["control"] == {"a": [1.0, 0.0, 0.0], "B": [[0.0], [0.0], [1.0]]}
+    assert rec["init"]["g0"] == g0.tolist() and rec["init"]["aux0"] == {"eta": [[1.0] * 3] * 2}
+    assert rec["controller_params"] == {"monitor_tol": 1e-6, "label": "x"}
+    assert (rec["n_agents"], rec["stop_metric"], rec["stop_below"]) == (2, "V_tl", 1e-9)
+    assert set(rec) == {f.name for f in fields(ScenarioConfig)}
+    for changed in (replace(cfg, graph=CommGraph(2, [(0.0, {(0, 1)}), (0.5, {(1, 0)})])),
+                    replace(cfg, control=None),
+                    replace(cfg, init=replace(cfg.init, aux0={"eta": np.zeros((2, 3))})),
+                    replace(cfg, stop_below=1e-8), replace(cfg, aux_integrator="rk4")):
+        assert changed.config_hash() != cfg.config_hash()
 
 
 def test_config_hash_tracks_content():
