@@ -23,14 +23,12 @@ from . import analysis, simulator
 from .controllers import ControllerError
 from .graphs import GraphError
 from .groups import GroupError
-from .scenario import parse_scenario
+from .scenario import FIELDS, parse_scenario, read_fields
 from .simulator import ConfigError, Trajectory
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-_SWEEP_FIELDS = {"h": float, "t_end": float, "seed": int, "record_every": int}
 
 
 def _out_dir(arg):
@@ -41,13 +39,8 @@ def _out_dir(arg):
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "h", None) is not None:
-        cfg = replace(cfg, h=args.h)
-    if getattr(args, "t_end", None) is not None:
-        cfg = replace(cfg, t_end=args.t_end)
-    return cfg
+    given = {key: getattr(args, key) for key in ("seed", "h", "t_end")}
+    return replace(cfg, **{key: v for key, v in given.items() if v is not None})
 
 
 def _write_run(traj, out):
@@ -100,29 +93,39 @@ def cmd_check(args):
 
 
 def _parse_grid(spec):
-    """Grid spec 'h=1e-2,1e-3;seed=0,1' -> list of override dicts."""
+    """Grid spec 'h=1e-2,1e-3;seed=0,1' -> list of override dicts; keys and
+    values are read as [scenario] keys (scenario.FIELDS)."""
     if not spec or not spec.strip():
         return []
-    axes = []
+    axes = {}
     for part in spec.split(";"):
         key, _, vals = part.partition("=")
         key = key.strip()
-        if key not in _SWEEP_FIELDS:
+        if key not in FIELDS["scenario"]:
             raise ConfigError(
-                f"grid: unknown field {key!r}; choose from {sorted(_SWEEP_FIELDS)}"
+                f"grid: unknown field {key!r}; choose from {sorted(FIELDS['scenario'])}"
             )
-        conv = _SWEEP_FIELDS[key]
-        axes.append([(key, conv(v)) for v in vals.split(",") if v.strip()])
-    return [dict(combo) for combo in itertools.product(*axes)]
+        if key in axes:
+            raise ConfigError(f"grid: {key} is given twice")
+        axes[key] = [read_fields({key: v.strip()}, "scenario")[key]
+                     for v in vals.split(",") if v.strip()]
+        if not axes[key]:
+            raise ConfigError(f"grid: {key} has no values")
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+
+
+def _seed(text):
+    return read_fields({"seed": text}, "scenario")["seed"]
 
 
 def _parse_seeds(spec):
     if spec is None:
         return [None]
     a, _, b = spec.partition("..")
-    if b:
-        return list(range(int(a), int(b) + 1))
-    return [int(s) for s in spec.split(",")]
+    seeds = list(range(_seed(a), _seed(b) + 1)) if b else [_seed(s) for s in spec.split(",")]
+    if not seeds:
+        raise ConfigError(f"seeds: {spec!r} holds no seed")
+    return seeds
 
 
 def _sweep_one(task):

@@ -43,10 +43,13 @@ Format (schema 1):
     ; explicit aux rows per controller field:
     ; eta_0 = ...
 
+A key that is left out takes the default of its ScenarioConfig or InitSpec
+field (FIELDS maps each such key to its field and type).  Rows of one family
+(segment_i, b_col_i, pose_k, <aux>_k) are numbered from 0 without gaps.
 Unknown sections or keys are rejected, and a file or value that does not
 parse is a ConfigError; controller parameters the controller does not declare,
 or of the wrong kind, are rejected when the controller is built
-(simulator.run).  t_end must be a whole number of steps h.
+(simulator.run).  t_end must be a whole number of steps h, at least one.
 """
 
 from __future__ import annotations
@@ -70,13 +73,18 @@ CONTROL_PRESETS = {
     "so3_two_axis_drift": lambda dim: ControlSetting.so3_two_axis(drift=True),
 }
 
-_SCENARIO_KEYS = {
-    "schema", "group", "agents", "controller", "h", "t_end", "seed",
-    "reproject_every", "record_every", "aux_integrator", "stop_metric", "stop_below",
+# graph kinds built from the agent count alone; edges and schedule read more keys
+GRAPH_KINDS = {kind: getattr(CommGraph, kind) for kind in ("complete", "ring", "path", "empty")}
+
+# The [scenario] and [init] keys that set the ScenarioConfig or InitSpec field
+# of the same name, with the field's type.  A key left out keeps the field's
+# default; sweep --grid sets the [scenario] ones.
+FIELDS = {
+    "scenario": {"t_end": float, "h": float, "seed": int, "reproject_every": int,
+                 "record_every": int, "aux_integrator": str, "stop_metric": str,
+                 "stop_below": float},
+    "init": {"kind": str, "pos_scale": float, "rot_scale": float, "aux_scale": float},
 }
-_GRAPH_KEYS = {"kind", "edges", "period"}
-_INIT_KEYS = {"kind", "pos_scale", "rot_scale", "aux_scale"}
-_CONTROL_KEYS = {"preset", "a"}
 
 
 def _vector(text):
@@ -90,13 +98,35 @@ def _scalar(text, key, kind=float):
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+        raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+                          f"got {text!r}") from None
 
 
-def _num(section, key, default=None, kind=float):
-    if key not in section:
-        return default
-    return _scalar(section[key], key, kind)
+def read_fields(section, name):
+    """The FIELDS[name] keys that a section (any mapping) sets, each read by
+    its type: {field: value}."""
+    return {key: _scalar(section[key], key, kind)
+            for key, kind in FIELDS[name].items() if key in section}
+
+
+def _family(section, name):
+    """The keys name_<index> of a section."""
+    return {k for k in section if k.rpartition("_")[0] == name}
+
+
+def _rows(section, where, name, n=None):
+    """The texts of the rows name_0, name_1, ... of a section in index order:
+    n of them, or else all, and at least one.  A ConfigError names the first
+    row that is missing, or one beyond the n."""
+    have = _family(section, name)
+    want = [f"{name}_{i}" for i in range(max(len(have), 1) if n is None else n)]
+    for key in want:
+        if key not in have:
+            raise ConfigError(f"{where}: missing {key} (rows {name}_0, {name}_1, ... without gaps)")
+    extra = sorted(have.difference(want))
+    if extra:
+        raise ConfigError(f"{where}: {extra[0]} is beyond {want[-1]}, one row per agent")
+    return [section[key] for key in want]
 
 
 def _stack(rows, what, axis=0):
@@ -120,48 +150,35 @@ def _edges(text):
 
 
 def _parse_graph(section, n):
-    keys = set(section.keys())
-    segs = {k for k in keys if k.startswith("segment_")}
-    unknown = keys - _GRAPH_KEYS - segs
+    unknown = set(section) - {"kind", "edges", "period"} - _family(section, "segment")
     if unknown:
         raise ConfigError(f"graph: unknown keys {sorted(unknown)}")
     kind = section.get("kind", "complete")
     try:
-        if kind == "complete":
-            return CommGraph.complete(n)
-        if kind == "ring":
-            return CommGraph.ring(n)
-        if kind == "path":
-            return CommGraph.path(n)
-        if kind == "empty":
-            return CommGraph.empty(n)
+        if kind in GRAPH_KINDS:
+            return GRAPH_KINDS[kind](n)
         if kind == "edges":
             return CommGraph.static(n, _edges(section.get("edges", "")))
         if kind == "schedule":
             segments = []
-            for i in range(len(segs)):
-                key = f"segment_{i}"
-                if key not in section:
-                    raise ConfigError(f"graph: missing {key} (segments must be contiguous)")
-                t_str, _, edge_str = section[key].partition(":")
-                segments.append((_scalar(t_str, key), _edges(edge_str)))
-            period = _num(section, "period")
+            for i, text in enumerate(_rows(section, "graph", "segment")):
+                t_str, _, edge_str = text.partition(":")
+                segments.append((_scalar(t_str, f"segment_{i}"), _edges(edge_str)))
+            period = _scalar(section["period"], "period") if "period" in section else None
             return CommGraph(n, segments, period=period)
     except GraphError as e:
         raise ConfigError(f"graph: {e}") from None
     raise ConfigError(
-        f"graph: unknown kind {kind!r}; choose from complete, ring, path, empty, edges, schedule"
+        f"graph: unknown kind {kind!r}; choose from {', '.join(GRAPH_KINDS)}, edges, schedule"
     )
 
 
 def _parse_control(section, group):
-    keys = set(section.keys())
-    cols = {k for k in keys if k.startswith("b_col_")}
-    unknown = keys - _CONTROL_KEYS - cols
+    unknown = set(section) - {"preset", "a"} - _family(section, "b_col")
     if unknown:
         raise ConfigError(f"control: unknown keys {sorted(unknown)}")
     if "preset" in section:
-        if cols or "a" in section:
+        if set(section) != {"preset"}:
             raise ConfigError("control: give either a preset or explicit a/b columns")
         name = section["preset"]
         if name not in CONTROL_PRESETS:
@@ -169,28 +186,16 @@ def _parse_control(section, group):
                 f"control: unknown preset {name!r}; choose from {sorted(CONTROL_PRESETS)}"
             )
         return CONTROL_PRESETS[name](group.dim)
-    if not cols or cols != {f"b_col_{i}" for i in range(len(cols))}:
-        raise ConfigError("control: give a preset or columns b_col_0, b_col_1, ... without gaps")
+    B = _stack([_vector(text) for text in _rows(section, "control", "b_col")], "control", axis=1)
     a = _vector(section.get("a", " ".join(["0"] * group.dim)))
-    B = _stack([_vector(section[f"b_col_{i}"]) for i in range(len(cols))], "control", axis=1)
     return ControlSetting(a, B)
 
 
 def _parse_init(section, group, n):
-    keys = set(section.keys())
-    poses = {k for k in keys if k.startswith("pose_")}
-    aux_rows = keys - _INIT_KEYS - poses
-    kind = section.get("kind", "random")
-    init = InitSpec(
-        kind=kind,
-        pos_scale=_num(section, "pos_scale", 2.0),
-        rot_scale=_num(section, "rot_scale"),
-        aux_scale=_num(section, "aux_scale", 1.0),
-    )
-    if kind == "explicit":
-        if poses != {f"pose_{k}" for k in range(n)}:
-            raise ConfigError(f"init: explicit state needs pose_0..pose_{n - 1}")
-        payload = _stack([_vector(section[f"pose_{k}"]) for k in range(n)], "init")
+    init = InitSpec(**read_fields(section, "init"))
+    poses = _family(section, "pose")
+    if init.kind == "explicit":
+        payload = _stack([_vector(text) for text in _rows(section, "init", "pose", n)], "init")
         if payload.shape[1] != len(group.payload_columns):
             raise ConfigError(
                 f"init: pose rows need {len(group.payload_columns)} numbers "
@@ -199,19 +204,15 @@ def _parse_init(section, group, n):
         init.g0 = group.from_payload(payload)
     elif poses:
         raise ConfigError("init: pose rows are only allowed with kind = explicit")
-    aux0 = {}
-    for key in sorted(aux_rows):
+    aux = {}        # auxiliary rows <name>_k, the fields in the order of their keys
+    for key in sorted(set(section) - set(FIELDS["init"]) - poses):
         name, _, idx = key.rpartition("_")
         if not name or not idx.isdecimal():
             raise ConfigError(f"init: unknown key {key!r}")
-        aux0.setdefault(name, {})[int(idx)] = _vector(section[key])
-    if aux0:
-        built = {}
-        for name, rows in aux0.items():
-            if sorted(rows) != list(range(n)):
-                raise ConfigError(f"init: aux rows {name}_0..{name}_{n - 1} must all be present")
-            built[name] = _stack([rows[k] for k in range(n)], "init")
-        init.aux0 = built
+        if name not in aux:
+            aux[name] = _stack([_vector(text) for text in _rows(section, "init", name, n)], "init")
+    if aux:
+        init.aux0 = aux
     return init
 
 
@@ -231,7 +232,7 @@ def parse_scenario(path):
     if "scenario" not in parser:
         raise ConfigError("missing [scenario] section")
     sc = parser["scenario"]
-    unknown = set(sc.keys()) - _SCENARIO_KEYS
+    unknown = set(sc) - {"schema", "group", "agents", "controller"} - set(FIELDS["scenario"])
     if unknown:
         raise ConfigError(f"scenario: unknown keys {sorted(unknown)}")
     if _scalar(sc.get("schema", "-1"), "schema", int) != SCHEMA:
@@ -248,7 +249,7 @@ def parse_scenario(path):
         raise ConfigError(
             f"controller: unknown {controller!r}; choose from {sorted(CONTROLLERS)}"
         )
-    n = _num(sc, "agents", kind=int)
+    n = _scalar(sc["agents"], "agents", int)
     if n < 1:
         raise ConfigError("agents: must be >= 1")
 
@@ -257,42 +258,21 @@ def parse_scenario(path):
         for key, val in parser["controller.params"].items():
             if " " in val.strip():
                 params[key] = _vector(val)
-            elif _is_number(val):
+                continue
+            try:
                 params[key] = float(val)
-            else:
+            except ValueError:      # a word: building the controller checks it
                 params[key] = val
-
-    control = None
-    if "control" in parser:
-        control = _parse_control(parser["control"], group)
-
-    graph = _parse_graph(parser["graph"] if "graph" in parser else {}, n)
-    init = _parse_init(parser["init"] if "init" in parser else {}, group, n)
 
     cfg = ScenarioConfig(
         group=group_name,
         n_agents=n,
         controller=controller,
-        graph=graph,
-        t_end=_num(sc, "t_end"),
-        h=_num(sc, "h", 1e-3),
-        seed=_num(sc, "seed", 0, kind=int),
         controller_params=params,
-        control=control,
-        reproject_every=_num(sc, "reproject_every", 100, kind=int),
-        record_every=_num(sc, "record_every", 10, kind=int),
-        aux_integrator=sc.get("aux_integrator", "euler"),
-        init=init,
-        stop_metric=sc.get("stop_metric"),
-        stop_below=_num(sc, "stop_below"),
+        control=_parse_control(parser["control"], group) if "control" in parser else None,
+        graph=_parse_graph(parser["graph"] if "graph" in parser else {}, n),
+        init=_parse_init(parser["init"] if "init" in parser else {}, group, n),
+        **read_fields(sc, "scenario"),
     )
     cfg.validate()
     return cfg
-
-
-def _is_number(text):
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False

@@ -99,8 +99,11 @@ class ScenarioConfig:
         if not (self.t_end > 0.0):
             raise ConfigError("t_end: must be > 0")
         steps = self.t_end / self.h
-        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
-            raise ConfigError(f"t_end: {self.t_end!r} is not a whole number of steps h={self.h!r}")
+        if not math.isfinite(steps) or round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"t_end: {self.t_end!r} is not a positive whole number of steps "
+                              f"h={self.h!r}")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.graph.n != self.n_agents:
             raise ConfigError("graph: agent count differs from the scenario")
         if self.record_every < 1:
@@ -295,23 +298,21 @@ def run(cfg):
     state = _initial_state(cfg, group, controller, rng)
 
     n_steps = round(cfg.t_end / cfg.h)
-    rec_idx = list(range(0, n_steps, cfg.record_every))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    s_max = len(rec_idx)
-
-    times = np.zeros(s_max)
-    g_rec = np.zeros((s_max, cfg.n_agents) + group.element_shape)
-    xi_rec = np.zeros((s_max, cfg.n_agents, group.dim))
-    aux_rec = {
-        k: np.zeros((s_max,) + v.shape) for k, v in state.aux.items()
-    }
-    metric_rec = {name: np.zeros(s_max) for name in METRIC_NAMES}
-    metric_rec["V_k"] = np.zeros((s_max, cfg.n_agents))
+    s_max = math.ceil(n_steps / cfg.record_every) + 1
+    try:
+        times = np.zeros(s_max)
+        g_rec = np.zeros((s_max, cfg.n_agents) + group.element_shape)
+        xi_rec = np.zeros((s_max, cfg.n_agents, group.dim))
+        aux_rec = {
+            k: np.zeros((s_max,) + v.shape) for k, v in state.aux.items()
+        }
+        metric_rec = {name: np.zeros(s_max) for name in METRIC_NAMES}
+        metric_rec["V_k"] = np.zeros((s_max, cfg.n_agents))
+    except (ValueError, MemoryError):     # numpy refuses before allocating
+        raise ConfigError(f"record_every: {s_max:.6g} samples cannot be allocated") from None
 
     log = _EventLog()
     s = 0
-    next_rec = set(rec_idx)
 
     for i in range(n_steps + 1):
         out = controller.output(state, graph=cfg.graph)
@@ -321,7 +322,7 @@ def run(cfg):
         for kind, agent, detail in out.events:
             log.add(state.t, kind, agent, detail)
         stop = False
-        if i in next_rec:
+        if i % cfg.record_every == 0 or i == n_steps:
             if float(np.max(np.abs(group.embed(state.g)))) > BLOWUP_NORM:
                 log.add(state.t, "blowup", detail="state norm exceeded 1e12; run aborted")
                 stop = True
@@ -332,11 +333,9 @@ def run(cfg):
                 aux_rec[k][s] = state.aux[k]
             m = metric_traces(group, state.g, out.xi, controller.eta_for_metrics(state),
                               cfg.graph, state.t, cs=cfg.control)
-            for name in METRIC_NAMES:
-                metric_rec[name][s] = m[name]
-            metric_rec["V_k"][s] = m["V_k"]
-            if not all(np.all(np.isfinite(v[s] if np.ndim(v[s]) else [v[s]]))
-                       for v in metric_rec.values()):
+            for name, value in m.items():
+                metric_rec[name][s] = value
+            if not all(_all_finite(v[s]) for v in metric_rec.values()):
                 log.add(state.t, "blowup", detail="non-finite metrics; run aborted")
                 stop = True
             s += 1

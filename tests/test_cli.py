@@ -1,11 +1,16 @@
 """Scenario parsing and the command-line front end."""
 
+import re
+
 import numpy as np
 import pytest
 
 from liecoord import analysis, cli, simulator
+from liecoord.controllers import ControllerError
+from liecoord.graphs import CommGraph, GraphError
+from liecoord.groups import GroupError
 from liecoord.scenario import parse_scenario
-from liecoord.simulator import ConfigError
+from liecoord.simulator import ConfigError, ScenarioConfig
 
 MINIMAL = """
 [scenario]
@@ -87,6 +92,11 @@ def test_parse_minimal(tmp_path):
     cfg = parse_scenario(_write(tmp_path, MINIMAL))
     assert cfg.group == "se2" and cfg.n_agents == 1 and cfg.controller == "zero"
     assert cfg.h == 1e-2 and cfg.t_end == 1.0
+    # every key left out takes the default of its dataclass field
+    bare = "[scenario]\nschema = 1\ngroup = se2\nagents = 2\ncontroller = zero\nt_end = 1.0\n"
+    want = ScenarioConfig(group="se2", n_agents=2, controller="zero",
+                          graph=CommGraph.complete(2), t_end=1.0)
+    assert parse_scenario(_write(tmp_path, bare, "bare.ini")).record() == want.record()
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -351,6 +361,31 @@ def test_cmd_sweep_rejects_unknown_grid_field(tmp_path, capsys):
     assert "h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--grid", "h=abc"],
+    ["--seeds", "3..x"],
+    ["--grid", "h"],
+    ["--grid", "h=1e-2;h=5e-2"],
+    ["--seeds", "5..3"],
+], ids=["grid-value", "seed-range-end", "grid-without-values", "grid-repeated-key",
+        "empty-seed-range"])
+def test_cmd_sweep_bad_input_exits_with_usage(tmp_path, capsys, args):
+    code = cli.main(["sweep", "scenarios/se2_single_rest.ini", *args,
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cmd_sweep_grid_sets_any_scenario_field(tmp_path):
+    scen = _write(tmp_path, RIC_SE2.format(t_end=0.1))
+    out = tmp_path / "s"
+    assert cli.main(["sweep", scen, "--grid", "aux_integrator=euler,rk4;record_every=50",
+                     "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0].startswith("aux_integrator,record_every,seed,")
+    assert [r.split(",")[:3] for r in rows[1:]] == [["euler", "50", "5"], ["rk4", "50", "5"]]
+
+
 def test_cmd_sweep_tc_fraction_line(tmp_path, capsys):
     out = tmp_path / "frac"
     code = cli.main(["sweep", "scenarios/so3_tc_cascade.ini",
@@ -379,6 +414,50 @@ def test_parse_bad_numeric_names_field(tmp_path):
     bad2 = MINIMAL + "\n[init]\nkind = random\nrot_scale = wide\n"
     with pytest.raises(ConfigError, match="rot_scale"):
         parse_scenario(_write(tmp_path, bad2))
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed"):
+        parse_scenario(_write(tmp_path, MINIMAL.replace("seed = 0", "seed = -1")))
+    code = cli.main(["run", _write(tmp_path, MINIMAL, "ok.ini"), "--seed", "-5",
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--h", "inf"], "positive whole number"),
+    (["--h", "1e300", "--t-end", "1e-300"], "positive whole number"),
+    (["--h", "1e-300"], "1e[+]299 samples cannot be allocated"),   # raised before any buffer is allocated
+], ids=["h-inf", "t-end-underflow", "sample-count"])
+def test_step_count_out_of_range_is_a_usage_error(tmp_path, capsys, args, message):
+    with pytest.raises(ConfigError, match="positive whole number"):
+        parse_scenario(_write(tmp_path, MINIMAL.replace("h = 1e-2", "h = inf")))
+    code = cli.main(["run", _write(tmp_path, MINIMAL, "ok.ini"), *args,
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(message, err)
+
+
+_NUMERIC_KEYS = {"agents": "2", "h": "1e-2", "t_end": "1", "seed": "0", "reproject_every": "100",
+                 "record_every": "10", "stop_below": "0"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", ["-1", "0", "0.5", "1", "3", "1e-300", "1e300", "inf", "nan"])
+@pytest.mark.parametrize("key", sorted(_NUMERIC_KEYS))
+def test_numeric_scenario_keys_end_in_a_typed_error_or_a_run(tmp_path, key, value):
+    # no value here makes a valid run longer than 300 steps
+    keys = {**_NUMERIC_KEYS, key: value}
+    text = ("[scenario]\nschema = 1\ngroup = se2\ncontroller = ric_consensus\n"
+            "stop_metric = V_r\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    try:
+        traj = simulator.run(parse_scenario(_write(tmp_path, text)))
+    except (ConfigError, ControllerError, GraphError, GroupError):
+        return
+    assert isinstance(traj, simulator.Trajectory)
 
 
 def test_parse_scalar_controller_param(tmp_path):
