@@ -116,6 +116,8 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
         raise AnalysisError(f"unknown coordination mode {mode!r}")
     group = traj.group
     times = traj.times
+    if not len(times):
+        raise AnalysisError("trajectory has no recorded samples")
     sel = times >= times[-1] - window - 1e-12
     if int(np.sum(sel)) < 3:
         raise AnalysisError("window too short: need at least 3 recorded samples")

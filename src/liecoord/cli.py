@@ -13,7 +13,6 @@ import argparse
 import itertools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -140,8 +139,11 @@ def _sweep_one(task):
         tc_flag = int(tc.achieved)
     except analysis.AnalysisError:
         tc_flag = -1
-    row = {name: traj.metrics[name][-1] for name in simulator.METRIC_NAMES}
-    row["V_k_max"] = float(np.max(traj.metrics["V_k"][-1]))
+    if len(traj.times):
+        row = {name: traj.metrics[name][-1] for name in simulator.METRIC_NAMES}
+        row["V_k_max"] = float(np.max(traj.metrics["V_k"][-1]))
+    else:                           # blew up at t = 0: no terminal metrics
+        row = dict.fromkeys([*simulator.METRIC_NAMES, "V_k_max"], np.nan)
     row["tc"] = tc_flag
     row["completed"] = int(traj.completed)
     return overrides, cfg.seed, row
@@ -157,6 +159,9 @@ def cmd_sweep(args):
     results = []
     if tasks:
         if args.jobs > 1:
+            # imported here only: about 20 ms that every other use of the module would pay
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_sweep_one, tasks))
         else:

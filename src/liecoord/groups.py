@@ -22,6 +22,16 @@ angle is small.  np.where still selects per entry when one is, so the result
 is the same bit for bit.  The rotation angle is taken as
 sqrt(add.reduce(w * w)), which is what np.linalg.norm computes after its
 Python-level dispatch.
+
+The adjoint actions adjoint (Ad_g) and adjoint_inv (Ad_{g^-1}) default to
+the matrix form, matvec of adjoint_matrix (3x3 on SE(2)).  SO(3) applies the
+rotation and its transpose directly: the same products, bit for bit, without
+the adjoint_matrix calls, which cost more than the products on the few agents
+of a steering step.  SE(3) applies both in block form with matvec and cross3
+on the 3-vector halves, building neither an inverse element nor a 6x6 matrix.
+A 6x6 adjoint matrix is still built where the matrix itself is needed: the
+pairwise equilibrium test controllers.compatibility_check and the rows
+Ad_lambda - Id of analysis.compatible_velocities.
 """
 
 import numpy as np
@@ -178,8 +188,12 @@ class LieGroup:
     # -- derived operations -------------------------------------------------------
 
     def adjoint(self, g, xi):
-        """Adjoint action of g on an algebra vector."""
+        """Adjoint action Ad_g xi of g on an algebra vector."""
         return matvec(self.adjoint_matrix(g), self.require_algebra(xi))
+
+    def adjoint_inv(self, g, xi):
+        """Inverse adjoint action Ad_{g^-1} xi."""
+        return matvec(self.adjoint_matrix(self.inverse(g)), self.require_algebra(xi))
 
     def left_relative(self, g_k, g_j):
         """Relative position g_k^-1 g_j (invariant under common left translation)."""
@@ -281,6 +295,12 @@ class SO3Group(LieGroup):
         # the rotation itself, not a copy: a contiguous copy of an inverse
         # (a transposed view) changes einsum's summation order in matvec
         return self.require_element(g)
+
+    def adjoint(self, g, xi):
+        return matvec(self.require_element(g), self.require_algebra(xi))
+
+    def adjoint_inv(self, g, xi):
+        return matvec(self.inverse(g), self.require_algebra(xi))
 
     def bracket(self, xi, eta):
         return cross3(self.require_algebra(xi), self.require_algebra(eta))
@@ -484,6 +504,23 @@ class SE3Group(LieGroup):
         out[..., :3, 3:] = hat(g[..., :3, 3]) @ Q
         out[..., 3:, 3:] = Q
         return out
+
+    def adjoint(self, g, xi):
+        """(Q v + r x Q w, Q w), in block form."""
+        g = self.require_element(g)
+        xi = self.require_algebra(xi)
+        Q = g[..., :3, :3]
+        Qw = matvec(Q, xi[..., 3:])
+        return np.concatenate([matvec(Q, xi[..., :3]) + cross3(g[..., :3, 3], Qw), Qw], axis=-1)
+
+    def adjoint_inv(self, g, xi):
+        """(Q^T (v - r x w), Q^T w), in block form."""
+        g = self.require_element(g)
+        xi = self.require_algebra(xi)
+        Qt = np.swapaxes(g[..., :3, :3], -1, -2)
+        w = xi[..., 3:]
+        return np.concatenate([matvec(Qt, xi[..., :3] - cross3(g[..., :3, 3], w)), matvec(Qt, w)],
+                              axis=-1)
 
     def bracket(self, xi, eta):
         xi = self.require_algebra(xi)

@@ -82,3 +82,9 @@ def se2_to_se3(g):
 def se2_algebra_to_se3(xi):
     """Planar embedding of an se(2) vector into the se(3) basis."""
     return np.array([xi[0], xi[1], 0.0, 0.0, 0.0, xi[2]])
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: unlike np.array_equal, -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

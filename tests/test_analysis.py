@@ -165,6 +165,14 @@ def test_check_names_the_worst_pair_and_time():
     assert "lambda_worst_pair=0,2 lambda_worst_t=0.900000" in rep.format()
 
 
+@pytest.mark.parametrize("mode", ["lic", "ric", "tc"])
+def test_check_of_an_empty_trajectory_is_a_typed_error(mode):
+    # a run that blows up at t = 0 records no sample
+    empty = _recorded(SE2, np.zeros((0, 3, 3)), np.zeros((0, 3, 3)), [])
+    with pytest.raises(AnalysisError, match="no recorded samples"):
+        check_coordination(empty, mode, window=1.0)
+
+
 def test_check_never_passes_a_non_finite_trajectory():
     times = np.linspace(0.0, 1.0, 5)
     g = SO3.identity_like(15).reshape(5, 3, 3, 3)

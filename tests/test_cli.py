@@ -1,6 +1,9 @@
 """Scenario parsing and the command-line front end."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -396,6 +399,28 @@ def test_cmd_sweep_tc_fraction_line(tmp_path, capsys):
     assert "# tc fraction:" in text
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 4
+
+
+def test_cmd_sweep_run_without_samples_writes_a_nan_row(tmp_path, capsys):
+    # the run blows up at t = 0, so it records no sample and has no terminal metrics
+    text = TC_OPEN_LOOP.format(p1="0 1 0", p2="1 0 0").replace("xi = 1.0 0.0 0.7",
+                                                               "xi = nan 0 0")
+    out = tmp_path / "s"
+    assert cli.main(["sweep", _write(tmp_path, text), "--seeds", "1", "--out", str(out)]) == 0
+    header, row = (out / "sweep.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["seed"] == "1"
+    assert cells["tc"] == "-1" and cells["completed"] == "0"
+    assert {cells[c] for c in [*simulator.METRIC_NAMES, "V_k_max"]} == {"nan"}
+    assert "tc fraction" not in capsys.readouterr().out
+
+
+def test_import_defers_the_process_pool():
+    # only sweep --jobs > 1 needs it; every load_run would pay its import otherwise
+    code = "import sys, liecoord.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_cmd_sweep_parallel_matches_serial(tmp_path):

@@ -23,8 +23,10 @@ from liecoord.controllers import (
     underactuated_lic_rhs,
 )
 from liecoord.graphs import CommGraph
-from liecoord.groups import GROUPS, SE2, SE3, SO3, so3_exp
+from liecoord.groups import GROUPS, SE2, SE3, SO3, cross3, matvec, so3_exp
 from liecoord.simulator import ScenarioConfig, SwarmState, run, write_trajectory_csv
+
+from helpers import same_bits
 
 E1, E2, E3 = np.eye(3)
 
@@ -569,6 +571,59 @@ def test_steering_linear_spatial_images_run_plain_consensus():
     spatial_rate = np.einsum("kij,kj->ki", Q, np.cross(u, eta_v) + deta)
     expect = ric_consensus_rhs(np.einsum("kij,kj->ki", Q, eta_v), graph)
     assert np.max(np.abs(spatial_rate - expect)) < 1e-12
+
+
+def _framed_consensus(A, deg, x, M, M_inv):
+    """sum_j A[k, j] (M_k^-1 M_j x_j - x_k) with explicit matrix frames M, M_inv."""
+    return matvec(M_inv, A @ matvec(M, x)) - deg[:, None] * x
+
+
+_PINNED_CASES = [
+    pytest.param(CommGraph.complete(3), (), id="complete3"),
+    pytest.param(CommGraph.ring(5), (), id="ring5"),
+    pytest.param(CommGraph.ring(4), (2,), id="ring4-b2"),
+]
+
+
+@pytest.mark.parametrize("graph, batch", _PINNED_CASES)
+@pytest.mark.parametrize("cs", [None, ControlSetting.so3_two_axis(drift=True)],
+                         ids=["full", "two-axis"])
+def test_so3_tc_left_cascade_equals_the_framed_form_bitwise(graph, batch, cs):
+    # pins the so3-basin trajectories: SO(3) transports by the rotation matrix itself
+    rng = np.random.default_rng(31)
+    n = graph.n
+    g = so3_exp(rng.standard_normal(batch + (n, 3)))
+    eta = rng.standard_normal(batch + (n, 3))
+    if cs is not None:
+        eta = cs.project(eta)
+    A, deg = graph.in_terms(0.0)
+    own = deg[:, None] * eta
+    transported = matvec(np.swapaxes(g, -1, -2), A @ matvec(g, eta))
+    q = SO3.pairing(eta, own - transported)
+    if cs is not None:
+        q = cs.project_range(q)
+    xi, deta = tc_left_cascade_rhs(SO3, g, eta, graph, cs=cs)
+    assert same_bits(xi, eta + q)
+    assert same_bits(deta, A @ eta - own)
+
+
+@pytest.mark.parametrize("graph, batch", _PINNED_CASES)
+def test_se3_steering_rhs_equal_the_framed_form_bitwise(graph, batch):
+    # pins the steer-se3 trajectories: the steering laws transport by the rotation block
+    rng = np.random.default_rng(32)
+    n = graph.n
+    g = SE3.exp(rng.standard_normal(batch + (n, 6)))
+    alpha, beta, gamma, u = rng.standard_normal((4,) + batch + (n, 3))
+    A, deg = graph.in_terms(0.0)
+    Q, r = g[..., :3, :3], g[..., :3, 3]
+    frames = (Q, np.swapaxes(Q, -1, -2))
+    linear = se3_steering_consensus_linear_rhs(g, alpha, graph, u=u)
+    assert same_bits(linear, _framed_consensus(A, deg, alpha, *frames) - cross3(u, alpha))
+    da, db, dg = se3_steering_consensus_helical_rhs(g, alpha, beta, gamma, graph, u=u)
+    assert same_bits(da, _framed_consensus(A, deg, alpha, *frames) - cross3(u, alpha))
+    assert same_bits(db, _framed_consensus(A, deg, beta, *frames)
+                     + matvec(frames[1], A @ r - deg[:, None] * r) - E1 - cross3(u, beta))
+    assert same_bits(dg, _framed_consensus(A, deg, gamma, *frames) - cross3(u, gamma))
 
 
 def _synchronized_helical_state(rng, n, v_bar=None, w_bar=None):

@@ -15,7 +15,7 @@ from liecoord.groups import (
 from liecoord.analysis import cm_algebra_basis
 
 from helpers import (
-    adjoint_by_conjugation, fd_right_velocity, se2_algebra_to_se3, se2_to_se3,
+    adjoint_by_conjugation, fd_right_velocity, same_bits, se2_algebra_to_se3, se2_to_se3,
 )
 
 ALL = list(GROUPS.values())
@@ -444,12 +444,6 @@ def _rotation_batches(draw, shapes=BATCH_SHAPES):
     return theta[..., None] * axis, v
 
 
-def _same_bits(a, b):
-    """Equal shapes and bytes: unlike np.array_equal, -0.0 differs from 0.0."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 @PROPERTY
 @given(_rotation_batches())
 def test_changed_kernels_equal_their_previous_forms_bitwise(batch):
@@ -457,16 +451,16 @@ def test_changed_kernels_equal_their_previous_forms_bitwise(batch):
     theta = np.linalg.norm(w, axis=-1)
     if theta.size > 1:
         assert np.any(theta < _SWITCH) and np.any(theta >= _SWITCH)
-    assert _same_bits(so3_exp(w), _so3_exp_reference(w))
+    assert same_bits(so3_exp(w), _so3_exp_reference(w))
     xi = np.concatenate([v, w], axis=-1)
     g = SE3.exp(xi)
-    assert _same_bits(g, _se3_exp_reference(xi))
-    assert _same_bits(SE3.embed(g), _se3_embed_reference(g))
+    assert same_bits(g, _se3_exp_reference(xi))
+    assert same_bits(SE3.embed(g), _se3_embed_reference(g))
     # SE(2): the signed angle is the rotation vector's third entry's sign times |w|
     xi2 = np.concatenate([v[..., :2], np.copysign(theta, w[..., 2])[..., None]], axis=-1)
-    assert _same_bits(SE2.exp(xi2), _se2_exp_reference(xi2))
-    assert _same_bits(hat(w), _hat_reference(w))
-    assert _same_bits(cross3(w, v), np.cross(w, v))
+    assert same_bits(SE2.exp(xi2), _se2_exp_reference(xi2))
+    assert same_bits(hat(w), _hat_reference(w))
+    assert same_bits(cross3(w, v), np.cross(w, v))
 
 
 @st.composite
@@ -508,6 +502,35 @@ def test_group_axioms_at_extreme_angles_and_translations(group, data):
     assert group.allclose(group.compose(group.exp(xi), group.exp(-xi)), e,
                           64 * np.finfo(float).eps * big * cond)
     assert np.max(group.manifold_defect(group.exp(xi))) < 1e-12
+
+
+def _matvec_tol(M, x):
+    """64 eps of the largest entry of M times the largest entry of x, the
+    latter taken at least as the smallest normal float: subnormal products
+    round to an absolute, not a relative, step."""
+    fi = np.finfo(float)
+    return 64 * fi.eps * np.max(np.abs(M)) * max(float(np.max(np.abs(x))), fi.tiny)
+
+
+@pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
+@PROPERTY
+@given(data=st.data())
+def test_adjoint_actions_equal_their_matrix_forms(group, data):
+    g = np.stack([data.draw(_elements(group))[0] for _ in range(2)])   # (B, N) = (2, 4)
+    xi = data.draw(hnp.arrays(float, (2, 4, group.dim), elements=_TRANSLATIONS))
+    # an (N,) stack, a (B, N) stack, and one xi of shape (dim,) shared by a (B, N) stack
+    for g_, xi_ in ((g[0], xi[0]), (g, xi), (g, xi[0, 0])):
+        lead = g_.shape[:g_.ndim - len(group.element_shape)]
+        Ad, Ad_inv = group.adjoint_matrix(g_), group.adjoint_matrix(group.inverse(g_))
+        for got, M in ((group.adjoint(g_, xi_), Ad), (group.adjoint_inv(g_, xi_), Ad_inv)):
+            want = matvec(M, xi_)
+            assert got.shape == want.shape == lead + (group.dim,)
+            if group is SE3:   # block form: rounded differently, no matrix built
+                assert np.max(np.abs(got - want)) <= _matvec_tol(M, xi_)
+            else:
+                assert same_bits(got, want)
+        back = group.adjoint_inv(g_, group.adjoint(g_, xi_))
+        assert np.max(np.abs(back - xi_)) <= _matvec_tol(Ad, xi_)
 
 
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
