@@ -15,6 +15,14 @@ deterministic.  Cross products go through groups.cross3 rather than np.cross:
 the results are the same bit for bit, and at a few agents np.cross costs
 several times more in call overhead than the products themselves.
 
+The right-hand sides take float arrays of the shapes the simulator builds and
+check nothing: they call the group kernels (groups._adjoint, ...), and the
+shapes are checked once, when a run is set up.  The helical steering law
+stacks its three components along a new leading axis, so that one transported
+sum and one cross product serve all three.  The matmul with the in-matrix
+still runs once per component, so the result is the same bit for bit; the
+stack is faster at the 4 agents of the steering scenarios, slower at hundreds.
+
 The simulator runs the laws through CONTROLLERS, one ControllerSpec per law,
 which build_controller binds to a group, a control setting and parameters.
 All shapes come from trailing axes, so a controller runs on (N, ...) state
@@ -28,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import GROUPS, SE3, SO3, cross3
+from .groups import GROUPS, SO3, cross3
 
 
 class ControllerError(ValueError):
@@ -125,7 +133,7 @@ def _neighbor_sum(A, x, group=None, g=None):
     transported sum sum_j A[k, j] Ad_{g_k^-1 g_j} x_j."""
     if group is None:
         return A @ x
-    return group.adjoint_inv(g, A @ group.adjoint(g, x))
+    return group._adjoint_inv(g, A @ group._adjoint(g, x))
 
 
 def _consensus(A, deg, x, group=None, g=None):
@@ -148,7 +156,6 @@ def _disagreement(A, deg, x):
 
 def ric_consensus_rhs(xi, graph, t=0.0):
     """Vector-space consensus on the body velocities: dxi_k = sum_j (xi_j - xi_k)."""
-    xi = np.asarray(xi, dtype=float)
     A, deg = graph.in_terms(t)
     return _consensus(A, deg, xi)
 
@@ -159,14 +166,13 @@ def lic_consensus_rhs(group, g, xi, graph, t=0.0):
     dxi_k = sum_j (Ad_{g_k^-1 g_j} xi_j - xi_k); the induced spatial
     velocities Ad_{g_k} xi_k then satisfy plain consensus.
     """
-    xi = np.asarray(xi, dtype=float)
     A, deg = graph.in_terms(t)
     return _consensus(A, deg, xi, group, g)
 
 
 def _tc_right_velocity(group, eta, A, deg):
     """xi = eta + q with the position control q_k = -<eta_k, sum_j (eta_k - eta_j)>."""
-    q = -group.pairing(eta, _disagreement(A, deg, eta))
+    q = -group._pairing(eta, _disagreement(A, deg, eta))
     return eta + q
 
 
@@ -179,10 +185,9 @@ def tc_right_cascade_rhs(group, g, eta, graph, t=0.0):
     deta_k = sum_j (Ad_{g_k^-1 g_j} eta_j - eta_k) - [xi_k, eta_k].
     Fully actuated agents only.  Returns (xi, deta).
     """
-    eta = np.asarray(eta, dtype=float)
     A, deg = graph.in_terms(t)
     xi = _tc_right_velocity(group, eta, A, deg)
-    deta = _consensus(A, deg, eta, group, g) - group.bracket(xi, eta)
+    deta = _consensus(A, deg, eta, group, g) - group._bracket(xi, eta)
     return xi, deta
 
 
@@ -195,10 +200,9 @@ def tc_left_cascade_rhs(group, g, eta, graph, t=0.0, cs=None):
     setting, q is replaced by its projection onto the range of B and every
     eta_k must start inside C.  Returns (xi, deta).
     """
-    eta = np.asarray(eta, dtype=float)
     A, deg = graph.in_terms(t)
     own = deg[:, None] * eta        # the deg-weighted term of both sums, computed once
-    q = group.pairing(eta, own - _neighbor_sum(A, eta, group, g))
+    q = group._pairing(eta, own - _neighbor_sum(A, eta, group, g))
     if _underactuated(cs):
         q = cs.project_range(q)
     return eta + q, _neighbor_sum(A, eta) - own
@@ -206,16 +210,14 @@ def tc_left_cascade_rhs(group, g, eta, graph, t=0.0, cs=None):
 
 def double_bracket_field(group, eta, graph, t=0.0):
     """Double-bracket flow deta_k = [eta_k, [eta_k, sum_j (eta_k - eta_j)]]."""
-    eta = np.asarray(eta, dtype=float)
     A, deg = graph.in_terms(t)
-    return group.bracket(eta, group.bracket(eta, _disagreement(A, deg, eta)))
+    return group._bracket(eta, group._bracket(eta, _disagreement(A, deg, eta)))
 
 
 def lyapunov_gradient_vector(group, eta, cs):
     """f with f(eta) . q = (eta - P(eta)) . [eta, B q] for all q, columnwise."""
-    eta = np.asarray(eta, dtype=float)
     resid = eta - cs.project(eta)
-    cols = group.bracket(eta[..., None, :], cs.B.T)  # [..., i, :] = [eta, b_i]
+    cols = group._bracket(eta[..., None, :], cs.B.T)  # [..., i, :] = [eta, b_i]
     return np.einsum("...mn,...n->...m", cols, resid)
 
 
@@ -227,14 +229,13 @@ def underactuated_lic_rhs(group, g, eta, graph, t=0.0, *, cs):
     (xi, deta, s) where s[k] = (eta_k - P(eta_k)) . [eta_k, P(eta_k)] is the
     monitored sign condition (must stay <= 0 for the Lyapunov argument).
     """
-    eta = np.asarray(eta, dtype=float)
     A, deg = graph.in_terms(t)
     pi = cs.project(eta)
     resid = eta - pi
     q = -lyapunov_gradient_vector(group, eta, cs)
     xi = pi + np.einsum("im,...m->...i", cs.B, q)
-    deta = _consensus(A, deg, eta, group, g) - group.bracket(xi, eta)
-    s = np.einsum("...n,...n->...", resid, group.bracket(eta, pi))
+    deta = _consensus(A, deg, eta, group, g) - group._bracket(xi, eta)
+    s = np.einsum("...n,...n->...", resid, group._bracket(eta, pi))
     return xi, deta, s
 
 
@@ -277,7 +278,7 @@ _E1 = np.array([1.0, 0.0, 0.0])
 
 def se3_steering_control(eta_v, eta_w):
     """Turn-rate command u_k = eta_w + e1 x eta_v of the steering law."""
-    return eta_w + cross3(_E1, np.asarray(eta_v, dtype=float))
+    return eta_w + cross3(_E1, eta_v)
 
 
 def se3_steering_consensus_linear_rhs(g, eta_v, graph, t=0.0, *, u):
@@ -286,10 +287,8 @@ def se3_steering_consensus_linear_rhs(g, eta_v, graph, t=0.0, *, u):
     deta_v,k = sum_j (Q_k^T Q_j eta_v,j - eta_v,k) - u_k x eta_v,k
     so the spatial images Q_k eta_v,k run plain consensus.
     """
-    eta_v = np.asarray(eta_v, dtype=float)
     A, deg = graph.in_terms(t)
-    out = _consensus(A, deg, eta_v, SO3, SE3.rotation(g))
-    return out - cross3(np.asarray(u, dtype=float), eta_v)
+    return _consensus(A, deg, eta_v, SO3, g[..., :3, :3]) - cross3(u, eta_v)
 
 
 def se3_steering_consensus_helical_rhs(g, alpha, beta, gamma, graph, t=0.0, *, u):
@@ -300,25 +299,21 @@ def se3_steering_consensus_helical_rhs(g, alpha, beta, gamma, graph, t=0.0, *, u
     dgamma_k = sum_j (Q_k^T Q_j gamma_j - gamma_k) - u_k x gamma_k
 
     The body velocity is reconstructed as eta = (gamma + beta x alpha, alpha).
+    The three transported sums and cross products are taken once, on the
+    components stacked along a new leading axis.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
     A, deg = graph.in_terms(t)
-    Q = SE3.rotation(g)
-    r = SE3.position(g)
-    u = np.asarray(u, dtype=float)
-    dalpha = _consensus(A, deg, alpha, SO3, Q) - cross3(u, alpha)
-    dbeta = (_consensus(A, deg, beta, SO3, Q) + SO3.adjoint_inv(Q, _consensus(A, deg, r)) - _E1
-             - cross3(u, beta))
-    dgamma = _consensus(A, deg, gamma, SO3, Q) - cross3(u, gamma)
-    return dalpha, dbeta, dgamma
+    Q = g[..., :3, :3]
+    x = np.stack([alpha, beta, gamma])
+    d = _consensus(A, deg, x, SO3, Q)
+    d[1] += SO3._adjoint_inv(Q, _consensus(A, deg, g[..., :3, 3]))
+    d[1] -= _E1
+    d -= cross3(u, x)
+    return d[0], d[1], d[2]
 
 
 def helical_body_velocity(alpha, beta, gamma):
     """eta = (gamma + beta x alpha, alpha) from the helical components."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     return np.concatenate([gamma + cross3(beta, alpha), alpha], axis=-1)
 
 
@@ -387,14 +382,16 @@ class ControllerSpec:
 
 
 def _check_param(name, key, kind, value, dim):
-    """Raise ControllerError unless value is of the declared kind."""
+    """The value as a float array; ControllerError unless it is of the declared kind."""
     try:
-        shape = np.shape(np.asarray(value, dtype=float))
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        shape = None
+        arr = None
+    shape = None if arr is None else arr.shape
     if (shape != ()) if kind == "float" else (shape is None or shape[-1:] != (dim,)):
         want = "a number" if kind == "float" else f"an algebra vector of length {dim}"
         raise ControllerError(f"{name}: parameter {key} must be {want}, got {value!r}")
+    return arr
 
 
 class Controller:
@@ -415,7 +412,7 @@ class Controller:
             labels = ", ".join(f"{g[:2].upper()}({g[2:]})" for g in spec.groups)
             raise ControllerError(f"{name} runs on {labels} only")
         for key, value in self.params.items():
-            _check_param(name, key, kinds[key], value, group.dim)
+            self.params[key] = _check_param(name, key, kinds[key], value, group.dim)
         self.name = name
         self.spec = spec
         self.group = group
@@ -485,7 +482,7 @@ def _needs_xi_r(c):
 def _constant(c, state, graph):
     """Open-loop flight at a fixed body velocity (shared or per-agent); rest
     without the parameter xi."""
-    xi = np.asarray(c.params.get("xi", np.zeros(c.group.dim)), dtype=float)
+    xi = c.params.get("xi", np.zeros(c.group.dim))
     return ControllerOutput(np.broadcast_to(xi, c.agents(state.g) + (c.group.dim,)).copy())
 
 
@@ -509,7 +506,7 @@ def _tc_right_cascade(c, state, graph):
 
 def _frozen_eta(c, state):
     """eta_k = Ad_{g_k}^-1 xi_r: the auxiliary consensus at its exact limit."""
-    return c.group.adjoint_inv(state.g, c.params["xi_r"])
+    return c.group._adjoint_inv(state.g, c.params["xi_r"])
 
 
 def _tc_right_frozen(c, state, graph):
@@ -552,13 +549,20 @@ def _feasible_default_aux(c, agents, rng, scale):
     return {"eta": c.cs.a + u @ c.cs.B.T}
 
 
+def _steering_velocity(u):
+    """xi = (e1, u): unit forward speed and the commanded turn rate."""
+    xi = np.empty(u.shape[:-1] + (6,))
+    xi[..., :3] = _E1
+    xi[..., 3:] = u
+    return xi
+
+
 def _se3_steering_linear(c, state, graph):
     """Steering control with the angular auxiliary part held at zero."""
     eta_v = state.aux["eta_v"]
     u = se3_steering_control(eta_v, np.zeros_like(eta_v))
-    xi = np.concatenate([np.broadcast_to(_E1, eta_v.shape), u], axis=-1)
     deta = se3_steering_consensus_linear_rhs(state.g, eta_v, graph, state.t, u=u)
-    return ControllerOutput(xi, {"eta_v": deta})
+    return ControllerOutput(_steering_velocity(u), {"eta_v": deta})
 
 
 def _linear_eta(c, state):
@@ -569,13 +573,11 @@ def _linear_eta(c, state):
 def _se3_steering_helical(c, state, graph):
     """Steering control with the three-component helical consensus."""
     alpha, beta, gamma = state.aux["alpha"], state.aux["beta"], state.aux["gamma"]
-    eta = helical_body_velocity(alpha, beta, gamma)
-    u = se3_steering_control(eta[..., :3], eta[..., 3:])
-    xi = np.concatenate([np.broadcast_to(_E1, alpha.shape), u], axis=-1)
+    u = se3_steering_control(gamma + cross3(beta, alpha), alpha)
     da, db, dg = se3_steering_consensus_helical_rhs(
         state.g, alpha, beta, gamma, graph, state.t, u=u
     )
-    return ControllerOutput(xi, {"alpha": da, "beta": db, "gamma": dg})
+    return ControllerOutput(_steering_velocity(u), {"alpha": da, "beta": db, "gamma": dg})
 
 
 def _helical_eta(c, state):

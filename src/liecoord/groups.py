@@ -23,15 +23,23 @@ is the same bit for bit.  The rotation angle is taken as
 sqrt(add.reduce(w * w)), which is what np.linalg.norm computes after its
 Python-level dispatch.
 
-The adjoint actions adjoint (Ad_g) and adjoint_inv (Ad_{g^-1}) default to
-the matrix form, matvec of adjoint_matrix (3x3 on SE(2)).  SO(3) applies the
-rotation and its transpose directly: the same products, bit for bit, without
-the adjoint_matrix calls, which cost more than the products on the few agents
-of a steering step.  SE(3) applies both in block form with matvec and cross3
-on the 3-vector halves, building neither an inverse element nor a 6x6 matrix.
-A 6x6 adjoint matrix is still built where the matrix itself is needed: the
-pairwise equilibrium test controllers.compatibility_check and the rows
-Ad_lambda - Id of analysis.compatible_velocities.
+Arguments are checked once, at the boundary.  Each operation is one kernel,
+_<name> (_exp, _compose, _adjoint_inv, ...), that takes float arrays of the
+right trailing shapes and checks nothing; the public method (exp, compose,
+adjoint_inv, ...) raises GroupError on a wrong trailing shape, then calls the
+kernel.  The simulator loop and the control laws call the kernels directly, on
+arrays that build_controller, the initial-state checks and check have already
+checked: on the few agents of a steering step, a check costs about 1 us, as
+much as a small product.
+
+The adjoint actions _adjoint (Ad_g) and _adjoint_inv (Ad_{g^-1}) default to
+the matrix form, matvec of _adjoint_matrix (3x3 on SE(2)).  On SO(3) that
+matrix is the rotation itself, so the actions are its products with the
+rotation and its transpose.  SE(3) applies both in block form with matvec and
+cross3 on the 3-vector halves, building neither an inverse element nor a 6x6
+matrix.  A 6x6 adjoint matrix is still built where the matrix itself is
+needed: the pairwise equilibrium test controllers.compatibility_check and the
+rows Ad_lambda - Id of analysis.compatible_velocities.
 """
 
 import numpy as np
@@ -144,10 +152,10 @@ class LieGroup:
     """Base class for concrete groups.
 
     Subclasses define ``name``, algebra dimension ``dim``, the trailing
-    ``element_shape`` of element arrays, and the primitive operations
-    ``identity``, ``compose``, ``inverse``, ``adjoint_matrix``, ``bracket``,
-    ``exp``, ``reproject``, ``manifold_defect``, ``random``, ``embed``
-    (continuous embedding coordinates, used for drift measurements) and the
+    ``element_shape`` of element arrays, ``identity``, ``random``, the
+    unchecked kernels ``_compose``, ``_inverse``, ``_adjoint_matrix``,
+    ``_bracket``, ``_exp``, ``_reproject``, ``_manifold_defect`` and ``_embed``
+    (continuous embedding coordinates, used for drift measurements), and the
     CSV payload: ``payload_columns``, ``to_payload`` and ``from_payload``.
     Everything else is derived here.
     """
@@ -185,15 +193,24 @@ class LieGroup:
         e = self.identity()
         return np.broadcast_to(e, (n,) + self.element_shape).copy()
 
-    # -- derived operations -------------------------------------------------------
+    # -- checked operations: check the arguments, then call the kernel -----------
+
+    def compose(self, g, h):
+        return self._compose(self.require_element(g), self.require_element(h))
+
+    def inverse(self, g):
+        return self._inverse(self.require_element(g))
+
+    def adjoint_matrix(self, g):
+        return self._adjoint_matrix(self.require_element(g))
 
     def adjoint(self, g, xi):
         """Adjoint action Ad_g xi of g on an algebra vector."""
-        return matvec(self.adjoint_matrix(g), self.require_algebra(xi))
+        return self._adjoint(self.require_element(g), self.require_algebra(xi))
 
     def adjoint_inv(self, g, xi):
         """Inverse adjoint action Ad_{g^-1} xi."""
-        return matvec(self.adjoint_matrix(self.inverse(g)), self.require_algebra(xi))
+        return self._adjoint_inv(self.require_element(g), self.require_algebra(xi))
 
     def left_relative(self, g_k, g_j):
         """Relative position g_k^-1 g_j (invariant under common left translation)."""
@@ -203,12 +220,12 @@ class LieGroup:
         """Relative position g_j g_k^-1 (invariant under common right translation)."""
         return self.compose(g_j, self.inverse(g_k))
 
+    def bracket(self, xi, eta):
+        return self._bracket(self.require_algebra(xi), self.require_algebra(eta))
+
     def ad_matrix(self, xi):
         """Matrix of the map bracket(xi, .) in algebra coordinates."""
-        xi = self.require_algebra(xi)
-        basis = np.eye(self.dim)
-        cols = self.bracket(xi[..., None, :], basis)  # [..., j, :] = [xi, e_j]
-        return np.swapaxes(cols, -1, -2)
+        return self._ad_matrix(self.require_algebra(xi))
 
     def pairing(self, xi, eta):
         """Bilinear map <xi, eta> = ad_xi^T eta.
@@ -216,7 +233,34 @@ class LieGroup:
         It is the unique solution of z1 . <z2, z3> + [z1, z2] . z3 = 0 under
         the canonical scalar product of the algebra basis.
         """
-        return np.einsum("...ij,...i->...j", self.ad_matrix(xi), self.require_algebra(eta))
+        return self._pairing(self.require_algebra(xi), self.require_algebra(eta))
+
+    def exp(self, xi):
+        return self._exp(self.require_algebra(xi))
+
+    def reproject(self, g):
+        return self._reproject(self.require_element(g))
+
+    def manifold_defect(self, g):
+        return self._manifold_defect(self.require_element(g))
+
+    def embed(self, g):
+        return self._embed(self.require_element(g))
+
+    # -- kernels derived from the primitive ones ----------------------------------
+
+    def _adjoint(self, g, xi):
+        return matvec(self._adjoint_matrix(g), xi)
+
+    def _adjoint_inv(self, g, xi):
+        return matvec(self._adjoint_matrix(self._inverse(g)), xi)
+
+    def _ad_matrix(self, xi):
+        cols = self._bracket(xi[..., None, :], np.eye(self.dim))  # [..., j, :] = [xi, e_j]
+        return np.swapaxes(cols, -1, -2)
+
+    def _pairing(self, xi, eta):
+        return np.einsum("...ij,...i->...j", self._ad_matrix(xi), eta)
 
     def random_algebra(self, rng, shape=(), scale=1.0):
         """Gaussian algebra vectors of the given batch shape."""
@@ -285,38 +329,31 @@ class SO3Group(LieGroup):
     def identity(self):
         return np.eye(3)
 
-    def compose(self, g, h):
-        return self.require_element(g) @ self.require_element(h)
+    def _compose(self, g, h):
+        return g @ h
 
-    def inverse(self, g):
-        return np.swapaxes(self.require_element(g), -1, -2)
+    def _inverse(self, g):
+        return np.swapaxes(g, -1, -2)
 
-    def adjoint_matrix(self, g):
+    def _adjoint_matrix(self, g):
         # the rotation itself, not a copy: a contiguous copy of an inverse
         # (a transposed view) changes einsum's summation order in matvec
-        return self.require_element(g)
+        return g
 
-    def adjoint(self, g, xi):
-        return matvec(self.require_element(g), self.require_algebra(xi))
+    def _bracket(self, xi, eta):
+        return cross3(xi, eta)
 
-    def adjoint_inv(self, g, xi):
-        return matvec(self.inverse(g), self.require_algebra(xi))
-
-    def bracket(self, xi, eta):
-        return cross3(self.require_algebra(xi), self.require_algebra(eta))
-
-    def pairing(self, xi, eta):
+    def _pairing(self, xi, eta):
         # ad_w is skew on rotations, so the pairing is minus the bracket
-        return -cross3(self.require_algebra(xi), self.require_algebra(eta))
+        return -cross3(xi, eta)
 
-    def exp(self, xi):
-        return so3_exp(self.require_algebra(xi))
+    def _exp(self, xi):
+        return so3_exp(xi)
 
-    def reproject(self, g):
-        return polar_rotation(self.require_element(g))
+    def _reproject(self, g):
+        return polar_rotation(g)
 
-    def manifold_defect(self, g):
-        g = self.require_element(g)
+    def _manifold_defect(self, g):
         return _rotation_defect(g, g)
 
     def random(self, rng, n=None, pos_scale=1.0, rot_scale=None):
@@ -334,8 +371,7 @@ class SO3Group(LieGroup):
             return Q
         return so3_exp(rot_scale * rng.standard_normal(shape + (3,)))
 
-    def embed(self, g):
-        g = self.require_element(g)
+    def _embed(self, g):
         return g.reshape(g.shape[:-2] + (9,))
 
     def to_payload(self, g):
@@ -373,19 +409,15 @@ class SE2Group(LieGroup):
     def identity(self):
         return np.zeros(3)
 
-    def compose(self, g, h):
-        g = self.require_element(g)
-        h = self.require_element(h)
+    def _compose(self, g, h):
         r = g[..., :2] + matvec(rot2(g[..., 2]), h[..., :2])
         return self.make(r, g[..., 2] + h[..., 2])
 
-    def inverse(self, g):
-        g = self.require_element(g)
+    def _inverse(self, g):
         r = -matvec(rot2(-g[..., 2]), g[..., :2])
         return self.make(r, -g[..., 2])
 
-    def adjoint_matrix(self, g):
-        g = self.require_element(g)
+    def _adjoint_matrix(self, g):
         out = np.zeros(g.shape[:-1] + (3, 3))
         out[..., :2, :2] = rot2(g[..., 2])
         # -w J r column: J r = (-y, x)
@@ -398,14 +430,11 @@ class SE2Group(LieGroup):
     def _quarter_turn(v):
         return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
-    def bracket(self, xi, eta):
-        xi = self.require_algebra(xi)
-        eta = self.require_algebra(eta)
+    def _bracket(self, xi, eta):
         v = xi[..., 2:3] * self._quarter_turn(eta[..., :2]) - eta[..., 2:3] * self._quarter_turn(xi[..., :2])
         return np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
 
-    def exp(self, xi):
-        xi = self.require_algebra(xi)
+    def _exp(self, xi):
         theta = xi[..., 2]
         w = np.abs(theta)
         small, safe_w, sin, cos = _angle_terms(w)
@@ -422,12 +451,10 @@ class SE2Group(LieGroup):
         A[..., 1, 1] = a
         return self.make(matvec(A, xi[..., :2]), xi[..., 2])
 
-    def reproject(self, g):
-        g = self.require_element(g)
+    def _reproject(self, g):
         return self.make(g[..., :2], g[..., 2])
 
-    def manifold_defect(self, g):
-        g = self.require_element(g)
+    def _manifold_defect(self, g):
         finite = np.all(np.isfinite(g), axis=-1)
         wrapped = np.abs(g[..., 2] - wrap_angle(g[..., 2]))
         return np.where(finite, wrapped, np.inf)
@@ -441,8 +468,7 @@ class SE2Group(LieGroup):
             theta = rot_scale * rng.standard_normal(shape)
         return self.make(r, theta)
 
-    def embed(self, g):
-        g = self.require_element(g)
+    def _embed(self, g):
         return np.concatenate(
             [g[..., :2], np.cos(g[..., 2:3]), np.sin(g[..., 2:3])], axis=-1
         )
@@ -488,16 +514,14 @@ class SE3Group(LieGroup):
     def identity(self):
         return np.eye(4)
 
-    def compose(self, g, h):
-        return self.require_element(g) @ self.require_element(h)
+    def _compose(self, g, h):
+        return g @ h
 
-    def inverse(self, g):
-        g = self.require_element(g)
+    def _inverse(self, g):
         Qt = np.swapaxes(g[..., :3, :3], -1, -2)
         return self.make(-matvec(Qt, g[..., :3, 3]), Qt)
 
-    def adjoint_matrix(self, g):
-        g = self.require_element(g)
+    def _adjoint_matrix(self, g):
         Q = g[..., :3, :3]
         out = np.zeros(g.shape[:-2] + (6, 6))
         out[..., :3, :3] = Q
@@ -505,33 +529,27 @@ class SE3Group(LieGroup):
         out[..., 3:, 3:] = Q
         return out
 
-    def adjoint(self, g, xi):
+    def _adjoint(self, g, xi):
         """(Q v + r x Q w, Q w), in block form."""
-        g = self.require_element(g)
-        xi = self.require_algebra(xi)
         Q = g[..., :3, :3]
         Qw = matvec(Q, xi[..., 3:])
         return np.concatenate([matvec(Q, xi[..., :3]) + cross3(g[..., :3, 3], Qw), Qw], axis=-1)
 
-    def adjoint_inv(self, g, xi):
+    def _adjoint_inv(self, g, xi):
         """(Q^T (v - r x w), Q^T w), in block form."""
-        g = self.require_element(g)
-        xi = self.require_algebra(xi)
         Qt = np.swapaxes(g[..., :3, :3], -1, -2)
         w = xi[..., 3:]
         return np.concatenate([matvec(Qt, xi[..., :3] - cross3(g[..., :3, 3], w)), matvec(Qt, w)],
                               axis=-1)
 
-    def bracket(self, xi, eta):
-        xi = self.require_algebra(xi)
-        eta = self.require_algebra(eta)
+    def _bracket(self, xi, eta):
         v1, w1 = xi[..., :3], xi[..., 3:]
         v2, w2 = eta[..., :3], eta[..., 3:]
         return np.concatenate(
             [cross3(w1, v2) - cross3(w2, v1), cross3(w1, w2)], axis=-1
         )
 
-    def exp(self, xi):
+    def _exp(self, xi):
         """exp(v, w) = [[R, V v], [0, 1]], R = I + a K + b K^2, V = I + b K + c K^2.
 
         One pass: R and V share the angle, its sine and cosine, K = hat(w) and
@@ -540,7 +558,6 @@ class SE3Group(LieGroup):
         1.4e-27, less than half an ulp of 0.5.  So the result equals
         make(V v, so3_exp(w)) bit for bit.
         """
-        xi = self.require_algebra(xi)
         v, w = xi[..., :3], xi[..., 3:]
         theta = _rotation_angle(w)
         small, safe, sin, cos = terms = _angle_terms(theta)
@@ -557,12 +574,10 @@ class SE3Group(LieGroup):
         out[..., 3, 3] = 1.0
         return out
 
-    def reproject(self, g):
-        g = self.require_element(g)
+    def _reproject(self, g):
         return self.make(g[..., :3, 3], polar_rotation(g[..., :3, :3]))
 
-    def manifold_defect(self, g):
-        g = self.require_element(g)
+    def _manifold_defect(self, g):
         bottom = np.max(np.abs(g[..., 3, :] - np.array([0.0, 0.0, 0.0, 1.0])), axis=-1)
         return _rotation_defect(g, g[..., :3, :3], bottom)
 
@@ -572,10 +587,9 @@ class SE3Group(LieGroup):
         Q = SO3.random(rng, n, rot_scale=rot_scale)
         return self.make(r, Q)
 
-    def embed(self, g):
+    def _embed(self, g):
         """(x, y, z, Q00, Q01, ..., Q22), gathered in one copy from the
         flattened matrix."""
-        g = self.require_element(g)
         return np.take(g.reshape(g.shape[:-2] + (16,)), _SE3_EMBED_ORDER, axis=-1)
 
     def to_payload(self, g):

@@ -4,7 +4,9 @@ run is the one stepping path.  Group positions advance by Lie-Euler steps
 g <- g * exp(h xi), which keeps every iterate on the manifold up to rounding;
 auxiliary variables live in a vector space and advance by explicit Euler (or
 classical RK4 against a frozen position).  A run is sequential and
-deterministic given its config and seed.
+deterministic given its config and seed.  Arguments are checked once, when
+the run is set up (build_controller, _initial_state, group.check); the loop
+calls the group kernels, which check nothing.
 
 Every step checks that the positions and the commanded velocities are
 finite, each with one whole-array reduction (_all_finite).  Only when that
@@ -178,10 +180,11 @@ def metric_traces(group, g, xi, eta, graph, t, cs=None):
     V_tr / V_tl: the same halved costs on the auxiliary velocity eta (xi is
     used when the controller has no auxiliary velocity); V_k: per-agent
     squared distance of eta_k from the feasible set, halved.  Each cost is a
-    sum over the edges j->k active at time t, in O(E n).
+    sum over the edges j->k active at time t, in O(E n).  Like the control
+    laws, it takes float arrays of the shapes run builds and checks nothing.
     """
     src, dst = graph.edge_arrays(t)
-    xi_r = group.adjoint(g, xi)
+    xi_r = group._adjoint(g, xi)
     out = {
         "V_r": _edge_disagreement(src, dst, xi),
         "V_l": _edge_disagreement(src, dst, xi_r),
@@ -190,9 +193,8 @@ def metric_traces(group, g, xi, eta, graph, t, cs=None):
         eta = xi
         out["V_tr"], out["V_tl"] = 0.5 * out["V_r"], 0.5 * out["V_l"]
     else:
-        eta = np.asarray(eta, dtype=float)
         out["V_tr"] = 0.5 * _edge_disagreement(src, dst, eta)
-        out["V_tl"] = 0.5 * _edge_disagreement(src, dst, group.adjoint(g, eta))
+        out["V_tl"] = 0.5 * _edge_disagreement(src, dst, group._adjoint(g, eta))
     if cs is None:
         out["V_k"] = np.zeros(g.shape[0])
     else:
@@ -206,7 +208,7 @@ def metric_traces(group, g, xi, eta, graph, t, cs=None):
 # ---------------------------------------------------------------------------
 
 def _advance(group, state, out, h, controller, graph, aux_integrator):
-    g_new = group.compose(state.g, group.exp(h * out.xi))
+    g_new = group._compose(state.g, group._exp(h * out.xi))
     if aux_integrator == "euler" or not out.aux_dot:
         aux_new = {k: state.aux[k] + h * dk for k, dk in out.aux_dot.items()}
     else:
@@ -323,7 +325,7 @@ def run(cfg):
             log.add(state.t, kind, agent, detail)
         stop = False
         if i % cfg.record_every == 0 or i == n_steps:
-            if float(np.max(np.abs(group.embed(state.g)))) > BLOWUP_NORM:
+            if float(np.max(np.abs(group._embed(state.g)))) > BLOWUP_NORM:
                 log.add(state.t, "blowup", detail="state norm exceeded 1e12; run aborted")
                 stop = True
             times[s] = state.t
@@ -350,12 +352,12 @@ def run(cfg):
             break
         state = _advance(group, state, out, cfg.h, controller, cfg.graph, cfg.aux_integrator)
         if cfg.reproject_every and (i + 1) % cfg.reproject_every == 0:
-            defect = float(np.max(group.manifold_defect(state.g)))
+            defect = float(np.max(group._manifold_defect(state.g)))
             if math.isfinite(defect):   # else the next step's check ends the run
                 if defect > TAU_MANIFOLD:
                     log.add(state.t, "reproject",
                             detail=f"manifold defect {defect:.3e} corrected")
-                state = SwarmState(state.t, group.reproject(state.g), state.aux)
+                state = SwarmState(state.t, group._reproject(state.g), state.aux)
 
     events = log.as_list()
     return Trajectory(

@@ -1,5 +1,7 @@
 """Group algebra: composition, adjoints, brackets, exponentials, pairing."""
 
+import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from helpers import (
     adjoint_by_conjugation, fd_right_velocity, same_bits, se2_algebra_to_se3, se2_to_se3,
 )
 
+pytestmark = pytest.mark.usefixtures("hypothesis_without_local_constants")
 ALL = list(GROUPS.values())
 E1, E2, E3 = np.eye(3)
 
@@ -141,6 +144,35 @@ def test_group_shape_mismatch_rejected():
         SO3.compose(np.eye(3), SE2.identity())
     with pytest.raises(GroupError):
         SE3.adjoint(SE3.identity(), np.zeros(3))
+
+
+# every public method with its argument kinds: "g" an element, "xi" an algebra vector
+_CHECKED_METHODS = {
+    "compose": "g g", "inverse": "g", "adjoint": "g xi", "adjoint_inv": "g xi",
+    "adjoint_matrix": "g", "bracket": "xi xi", "pairing": "xi xi", "ad_matrix": "xi",
+    "exp": "xi", "embed": "g", "to_payload": "g", "reproject": "g", "manifold_defect": "g",
+    "check": "g", "position": "g", "rotation": "g", "angle": "g",
+}
+
+
+@pytest.mark.parametrize("group, method", [
+    pytest.param(g, m, id=f"{g.name}-{m}") for g in ALL for m in sorted(_CHECKED_METHODS)
+    if hasattr(g, m)
+])
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "stack"])
+def test_public_methods_reject_a_wrong_trailing_shape(group, method, batch):
+    """The kernels check nothing; every public method checks each argument
+    before it calls one."""
+    rng = rng_for(group.name, 21)
+    good = {"g": group.random(rng, batch[0] if batch else None),
+            "xi": group.random_algebra(rng, batch)}
+    # one more entry in the last axis: (3, 4) on SO(3), (4,) on SE(2), (4, 5) on SE(3)
+    bad = {kind: np.zeros(x.shape[:-1] + (x.shape[-1] + 1,)) for kind, x in good.items()}
+    kinds = _CHECKED_METHODS[method].split()
+    for i in range(len(kinds)):
+        args = [bad[k] if j == i else good[k] for j, k in enumerate(kinds)]
+        with pytest.raises(GroupError):
+            getattr(group, method)(*args)
 
 
 def test_get_group_unknown():
@@ -461,6 +493,33 @@ def test_changed_kernels_equal_their_previous_forms_bitwise(batch):
     assert same_bits(SE2.exp(xi2), _se2_exp_reference(xi2))
     assert same_bits(hat(w), _hat_reference(w))
     assert same_bits(cross3(w, v), np.cross(w, v))
+
+
+def test_derandomized_examples_do_not_depend_on_the_imported_modules(tmp_path, monkeypatch):
+    """Hypothesis draws literals of the local modules in sys.modules, and the
+    full suite imports more of them than one test file does."""
+    def examples():
+        seen = []
+
+        @PROPERTY
+        @given(_rotation_batches())
+        def record(batch):
+            seen.append(batch)
+
+        record()
+        return seen
+
+    before = examples()
+    (tmp_path / "more_literals.py").write_text(
+        "VALUES = (" + ", ".join(repr(float(x)) for x in np.linspace(-2.0, 4.0, 61)) + ")\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        importlib.import_module("more_literals")
+        after = examples()
+    finally:
+        sys.modules.pop("more_literals", None)
+    assert len(after) == len(before)
+    assert all(same_bits(a, b) for x, y in zip(before, after) for a, b in zip(x, y))
 
 
 @st.composite

@@ -15,6 +15,7 @@ are derandomized, so they are the same on every run.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liecoord import cli
@@ -24,6 +25,7 @@ from liecoord.groups import GROUPS, GroupError
 from liecoord.scenario import parse_scenario
 from liecoord.simulator import ConfigError, Event, read_trajectory_csv
 
+pytestmark = pytest.mark.usefixtures("hypothesis_without_local_constants")
 TYPED = (ConfigError, ControllerError, GraphError, GroupError)
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])

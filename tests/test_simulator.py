@@ -1,7 +1,10 @@
 """Integration loop: stepping, runs, metrics, determinism, export round trips."""
 
 import json
+import sys
+from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from liecoord.controllers import ControlSetting, build_controller
 from liecoord.graphs import CommGraph
 from liecoord.groups import SE2, SE3, SO3, so3_exp
+from liecoord.scenario import parse_scenario
 from liecoord.simulator import (
     CSV_BLOCK_ROWS,
     METRIC_NAMES,
@@ -391,6 +395,58 @@ def test_first_order_convergence_of_lie_euler():
     e1 = np.max(np.abs(terminal(2e-2) - ref))
     e2 = np.max(np.abs(terminal(1e-2) - ref))
     assert e1 / e2 == pytest.approx(2.0, rel=0.25)
+
+
+# ---------------------------------------------------------------------------
+# calls per step
+# ---------------------------------------------------------------------------
+
+def _calls_per_step(cfg, steps=(100, 300)):
+    """Python calls, C calls and require_element/require_algebra calls per
+    step of run, from two runs that differ only in length, so that the
+    set-up cancels.  The run before them does the first-call work."""
+    run(replace(cfg, t_end=steps[0] * cfg.h))
+    counts = []
+    for n in steps:
+        c = Counter()
+
+        def count(frame, event, arg):
+            c[event] += 1
+            if event == "call" and frame.f_code.co_name in ("require_element", "require_algebra"):
+                c["require"] += 1
+
+        sys.setprofile(count)
+        try:
+            run(replace(cfg, t_end=n * cfg.h))
+        finally:
+            sys.setprofile(None)
+        counts.append(c)
+    return tuple((counts[1][k] - counts[0][k]) / (steps[1] - steps[0])
+                 for k in ("call", "c_call", "require"))
+
+
+def _scenario_file(name):
+    return parse_scenario(str(Path(__file__).parents[1] / "scenarios" / f"{name}.ini"))
+
+
+@pytest.mark.parametrize("make_cfg, python_calls, c_calls", [
+    pytest.param(lambda: _scenario_file("se3_steering_linear"), 73.63, 22.01,
+                 id="se3_steering_linear-4"),
+    pytest.param(lambda: _scenario_file("se3_steering_helical"), 88.53, 31.01,
+                 id="se3_steering_helical-4"),
+    pytest.param(lambda: _cfg(group="so3", controller="tc_left_cascade",
+                              graph=CommGraph.complete(3), h=2e-3, record_every=100), 53.3, 14.6,
+                 id="so3-tc_left_cascade-complete3"),
+    pytest.param(lambda: _cfg(group="se3", n_agents=16, controller="lic_consensus",
+                              graph=CommGraph.ring(16)), 77.08, 21.56,
+                 id="se3-lic_consensus-ring16"),
+])
+def test_calls_per_step_are_pinned(make_cfg, python_calls, c_calls):
+    """At a few agents a step costs what its calls cost.  A change that raises
+    a count must update it here; the loop calls the unchecked group kernels."""
+    calls, c, require = _calls_per_step(make_cfg())
+    assert require == 0
+    assert (calls, c) == (python_calls, c_calls)
 
 
 # ---------------------------------------------------------------------------
