@@ -4,14 +4,16 @@ configuration generation, and scenario probes.
 Coordination is checked two ways on recorded trajectories: through the drift
 of relative positions (central finite differences of their embedding
 coordinates) and through velocity disagreement; the two criteria agree for
-converged runs.  All four maxima come from one pass over every unordered
-agent pair, taken as index arrays from np.triu_indices in chunks of
-PAIR_CHUNK pairs, so the check holds O(PAIR_CHUNK x samples) temporaries at
-any swarm size.  Each agent's inverse is computed once per check.  Each
-relative position, g_k^-1 g_j and g_j g_k^-1, gathers its own operands and
-is embedded at once: holding one gather for both kept two more chunk-sized
-element arrays alive, which raised the peak memory of a 256-agent check by
-about 11 MB.
+converged runs.  Each of the four maxima over agent pairs is found by bound
+and select.  Per-agent quantities of the window (rotation-block and
+translation rates, the size of each block, each velocity's distance from the
+sample centroid) give every pair an O(1) upper bound, rounding included.
+Pairs are then evaluated exactly, in chunks of PAIR_CHUNK in descending bound
+order, until the next bound falls below the running maximum; a window with a
+non-finite value makes every pair a candidate.  An evaluated value is
+computed as by a loop over all pairs (the same gathers, compose, embed and
+norms), so the report equals that loop's field for field, its worst pair and
+time included.  Each agent's inverse is computed once per check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from .graphs import CommGraph
 from .simulator import InitSpec, ScenarioConfig, run
 
 RANK_REL_TOL = 1e-9
-PAIR_CHUNK = 2048
+PAIR_CHUNK = 512
+# rounding allowances of the pair bounds: relative, and absolute in ulps of the
+# composed magnitudes per shortest step (drifts) or at underflow (velocity gaps)
+BOUND_REL = 64 * np.finfo(float).eps
+BOUND_ABS = 1024 * np.finfo(float).eps
+GAP_ABS = np.sqrt(np.finfo(float).tiny)
 
 
 class AnalysisError(ValueError):
@@ -78,25 +85,111 @@ class CoordinationReport:
 
 
 class _PairMax:
-    """Running maximum of per-pair values over chunks of agent pairs j < k,
-    with the pair and the sample index where it occurs.  A NaN wins, so a
-    trajectory with non-finite values never reads as coordinated."""
+    """Running maximum of per-pair values over chunks of agent pairs, with the
+    pair (its index in np.triu_indices order) and the sample where it occurs.
+    The largest value wins, then the earliest pair, then the earliest sample,
+    in whatever order the chunks come.  A NaN wins, so a trajectory with
+    non-finite values never reads as coordinated; a maximum of 0 names no pair."""
 
     def __init__(self):
-        self.value, self.pair, self.sample = -np.inf, None, None
+        self.value, self.pair, self.sample = 0.0, None, None
 
-    def update(self, r, j, k):
-        """r: (S, P) non-negative values of the pairs (j[p], k[p]) of one chunk."""
-        if r.size == 0:
-            return
-        s, p = np.unravel_index(int(np.argmax(r)), r.shape)
-        v = float(r[s, p])
-        if v > self.value or (np.isnan(v) and not np.isnan(self.value)):
-            self.value, self.pair, self.sample = v, (int(j[p]), int(k[p])), int(s)
+    def _beats(self, v, p):
+        if np.isnan(self.value):
+            return np.isnan(v) and p < self.pair
+        if np.isnan(v):
+            return True
+        return v > self.value or (v == self.value and self.pair is not None and p < self.pair)
 
-    def result(self):
-        """(value, (j, k), sample index), or (0.0, None, None) without a pair."""
-        return (0.0, None, None) if self.pair is None else (self.value, self.pair, self.sample)
+    def update(self, r, pairs):
+        """r: (S, P) values of the pairs numbered pairs."""
+        peak = np.max(r, axis=0)
+        top = np.isnan(peak)
+        if not top.any():
+            top = peak == np.max(peak)
+        p = np.flatnonzero(top)[np.argmin(pairs[top])]
+        if self._beats(float(peak[p]), int(pairs[p])):
+            self.value, self.pair, self.sample = float(peak[p]), int(pairs[p]), int(np.argmax(r[:, p]))
+
+
+def _select(bound, values):
+    """Maximum of values(pairs) over every pair, evaluating only the pairs
+    whose upper bound reaches the running maximum: chunks of PAIR_CHUNK pairs
+    in descending bound order, until a chunk starts below the maximum."""
+    best = _PairMax()
+    order = np.argsort(-bound)
+    for lo in range(0, len(order), PAIR_CHUNK):
+        pairs = order[lo:lo + PAIR_CHUNK]
+        pairs = pairs[~(bound[pairs] < best.value)]    # all of them while the maximum is NaN
+        if not len(pairs):
+            break
+        best.update(values(pairs), pairs)
+    return best
+
+
+def _blocks(group, g):
+    """Rotation block R and translation r of each element.  Every entry of
+    embed(g_k^-1 g_j) and embed(g_j g_k^-1) is an entry, or for SE(2) the
+    cosine or sine, of R_k^T R_j, R_k^T (r_j - r_k), R_j R_k^T or
+    r_j - R_j R_k^T r_k.  None if an SE(3) bottom row is not (0, 0, 0, 1):
+    compose would mix it into the other entries."""
+    if group.name == "se2":
+        return rot2(g[..., 2]), g[..., :2]
+    if group.name == "se3":
+        if np.any(g[..., 3, :] != (0.0, 0.0, 0.0, 1.0)):
+            return None
+        return g[..., :3, :3], g[..., :3, 3]
+    return g, np.zeros(g.shape[:-2] + (0,))
+
+
+def _rate(x, dt):
+    """(N,) largest central-difference rate |x(s+1) - x(s-1)| / dt of each agent."""
+    d = (x[2:] - x[:-2]).reshape(len(dt), x.shape[1], -1)
+    return np.max(np.linalg.norm(d, axis=-1) / dt[:, None], axis=0)
+
+
+def _radius(x):
+    """(N,) largest distance of each agent's vector from the sample centroid."""
+    return np.max(np.linalg.norm(x - np.mean(x, axis=1, keepdims=True), axis=-1), axis=0)
+
+
+def _pair_bounds(R, r, xi_r, xi, dt, j, k):
+    """Upper bounds of the computed lambda drift, rho drift, xi_r gap and
+    xi_l gap of every pair (j, k) over the window, rounding included; yields
+    the four bound arrays in turn, so that one is held at a time.
+
+    Per agent: rotation-block rate a, translation rate b, M >= ||R||_2 (off
+    the manifold too), largest |r| and how far r moves from the middle
+    sample.  A central difference of R_k^T R_j is at most a_k M_j + M_k a_j
+    per unit time, one of R_k^T (r_j - r_k) at most a_k D_jk + M_k (b_j + b_k)
+    with D_jk >= |r_j - r_k|, and likewise for g_j g_k^-1.  A velocity gap is
+    at most the two agents' radii about the sample centroid.
+    """
+    dt = np.abs(dt)     # a drift is a norm over dt, whichever way time runs
+    a, b = _rate(R, dt), _rate(r, dt)
+    n = R.shape[-1]
+    M = np.sqrt(1.0 + n * np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(n)), axis=(0, 2, 3)))
+    size = np.max(np.linalg.norm(r, axis=-1), axis=0)
+    mid = r[len(r) // 2]
+    move = np.max(np.linalg.norm(r - mid, axis=-1), axis=0)
+    # the rounding of compose and embed scales with the magnitudes of the blocks
+    c = (1.0 + M) * (1.0 + size) * np.sqrt(BOUND_ABS / np.min(dt))
+
+    def allow(u, slack):
+        u *= 1.0 + BOUND_REL
+        u += slack
+        u[np.isnan(u)] = np.inf     # an overflow bounds nothing
+        return u
+
+    rot = a[k] * M[j] + M[k] * a[j]
+    dist = np.sqrt(sum((x[j] - x[k]) ** 2 for x in mid.T)) + move[j] + move[k]
+    yield allow(np.hypot(rot, a[k] * dist + M[k] * (b[j] + b[k])), c[j] * c[k])
+    del dist
+    yield allow(np.hypot(rot, b[j] + rot * size[k] + M[j] * M[k] * b[k]), c[j] * c[k])
+    del rot
+    for x in (xi_r, xi):
+        rad = _radius(x)
+        yield allow(rad[j] + rad[k], GAP_ABS)
 
 
 def _drift(emb, dt):
@@ -127,18 +220,25 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
 
     g_inv = group.inverse(g)
     xi_r = group.adjoint(g, xi)
-    dt = (t_win[2:] - t_win[:-2])[:, None, None]
-    lam, rho, gap_r, gap_l = (_PairMax() for _ in range(4))
-    j_all, k_all = np.triu_indices(g.shape[1], 1)
-    for lo in range(0, len(j_all), PAIR_CHUNK):
-        j, k = j_all[lo:lo + PAIR_CHUNK], k_all[lo:lo + PAIR_CHUNK]
-        lam.update(_drift(group.embed(group.compose(g_inv[:, k], g[:, j])), dt), j, k)  # g_k^-1 g_j
-        rho.update(_drift(group.embed(group.compose(g[:, j], g_inv[:, k])), dt), j, k)  # g_j g_k^-1
-        gap_r.update(np.linalg.norm(xi_r[:, k] - xi_r[:, j], axis=-1), j, k)
-        gap_l.update(np.linalg.norm(xi[:, k] - xi[:, j], axis=-1), j, k)
-    lam, lam_pair, i = lam.result()
-    lam_t = None if i is None else float(t_win[i + 1])
-    rho, xi_r_gap, xi_l_gap = (m.result()[0] for m in (rho, gap_r, gap_l))
+    dt = t_win[2:] - t_win[:-2]
+    j, k = np.triu_indices(g.shape[1], 1)
+    blocks = _blocks(group, g)
+    if blocks is None or not (np.isfinite(g).all() and np.isfinite(xi).all()):
+        bounds = [np.full(len(j), np.inf)] * 4      # every pair is a candidate
+    else:
+        bounds = _pair_bounds(*blocks, xi_r, xi, dt, j, k)
+    dt = dt[:, None, None]
+
+    def gap(x):
+        return lambda p: np.linalg.norm(x[:, k[p]] - x[:, j[p]], axis=-1)
+
+    lam, rho, gap_r, gap_l = (_select(u, f) for u, f in zip(bounds, (
+        lambda p: _drift(group.embed(group.compose(g_inv[:, k[p]], g[:, j[p]])), dt),  # g_k^-1 g_j
+        lambda p: _drift(group.embed(group.compose(g[:, j[p]], g_inv[:, k[p]])), dt),  # g_j g_k^-1
+        gap(xi_r), gap(xi))))
+    lam_pair = None if lam.pair is None else (int(j[lam.pair]), int(k[lam.pair]))
+    lam_t = None if lam.pair is None else float(t_win[lam.sample + 1])
+    lam, rho, xi_r_gap, xi_l_gap = (m.value for m in (lam, rho, gap_r, gap_l))
 
     achieved = {
         "lic": lam < tol,
@@ -162,12 +262,6 @@ def _null_space(M, dim, rel_tol):
     return Vt[s <= rel_tol * s[0]]
 
 
-def cm_membership(group, g, xi, tol=1e-9):
-    """True iff Ad_g xi = xi within tol (g fixes the velocity xi)."""
-    err = np.linalg.norm(group.adjoint(g, xi) - np.asarray(xi, dtype=float), axis=-1)
-    return np.max(err) <= tol if err.ndim else bool(err <= tol)
-
-
 def cm_algebra_basis(group, xi, rel_tol=RANK_REL_TOL):
     """Orthonormal basis (rows) of the commutant {eta : [xi, eta] = 0}."""
     return _null_space(group.ad_matrix(xi), group.dim, rel_tol)
@@ -176,24 +270,6 @@ def cm_algebra_basis(group, xi, rel_tol=RANK_REL_TOL):
 def cm_algebra_dimension(group, xi, rel_tol=RANK_REL_TOL):
     """Dimension of the isotropy algebra: dim ker [xi, .]."""
     return cm_algebra_basis(group, xi, rel_tol).shape[0]
-
-
-def cm_group_dimension_estimate(group, xi, eps=1e-7, rel_tol=1e-6):
-    """Isotropy-subgroup dimension from the linearization of g -> Ad_g xi - xi
-    at the identity (finite differences along the algebra basis)."""
-    xi = np.asarray(xi, dtype=float)
-    cols = []
-    for i in range(group.dim):
-        eta = np.zeros(group.dim)
-        eta[i] = eps
-        plus = group.adjoint(group.exp(eta), xi)
-        minus = group.adjoint(group.exp(-eta), xi)
-        cols.append((plus - minus) / (2.0 * eps))
-    J = np.stack(cols, axis=-1)
-    s = np.linalg.svd(J, compute_uv=False)
-    scale = max(s[0], float(np.linalg.norm(xi)), 1e-30)
-    rank = int(np.sum(s > rel_tol * scale))
-    return group.dim - rank
 
 
 def random_cm_element(group, xi, rng, scale=1.0, depth=3):
@@ -286,50 +362,6 @@ def se3_screw_axis(g, xi):
     direction = w_r / np.sqrt(wn2)[..., None]
     pitch_rate = np.einsum("...i,...i->...", v_r, direction)
     return point, direction, pitch_rate
-
-
-# ---------------------------------------------------------------------------
-# steering-control structure on SE(2) vs SE(3)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Se2EquivalenceReport:
-    perp_max: float       # max |alpha(g, u) . B u| over samples
-    formula_max: float    # max gap to alpha(g, u) = (R(t) e1 - u J r, 0)
-    lic_achieved: bool
-    ric_achieved: bool
-    equivalent: bool      # LIC implies RIC on this trajectory
-
-
-def check_se2_lic_tc_equivalence(traj, window=1.0, tol=1e-3):
-    """On an SE(2) steering trajectory, verify the orthogonal splitting
-    Ad_g (a + B u) = alpha(g, u) + B u and that reaching LIC also gives RIC."""
-    if traj.group_name != "se2":
-        raise AnalysisError("equivalence check applies to SE(2) trajectories")
-    g = traj.g.reshape(-1, 3)
-    xi = traj.xi.reshape(-1, 3)
-    if len(xi) and np.max(np.abs(xi[:, :2] - np.array([1.0, 0.0]))) > 1e-9:
-        raise AnalysisError("not a steering trajectory: body linear velocity is not e1")
-    u = xi[:, 2]
-    xi_r = SE2.adjoint(g, xi)
-    bu = np.zeros_like(xi_r)
-    bu[:, 2] = u
-    alpha = xi_r - bu
-    perp = float(np.max(np.abs(np.einsum("ki,ki->k", alpha, bu)))) if len(alpha) else 0.0
-    expect_v = matvec(rot2(SE2.angle(g)), np.array([1.0, 0.0])) - u[:, None] * np.stack(
-        [-SE2.position(g)[:, 1], SE2.position(g)[:, 0]], axis=-1
-    )
-    formula = np.concatenate([expect_v, np.zeros((len(alpha), 1))], axis=-1)
-    formula_max = float(np.max(np.abs(alpha - formula))) if len(alpha) else 0.0
-
-    rep = check_coordination(traj, "lic", window=window, tol=tol)
-    return Se2EquivalenceReport(
-        perp_max=perp,
-        formula_max=formula_max,
-        lic_achieved=rep.lic_by_position,
-        ric_achieved=rep.ric_by_velocity,
-        equivalent=(not rep.lic_by_position) or rep.ric_by_velocity,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,12 @@ def cmd_run(args):
 
 
 def load_run(run_dir):
-    """Rebuild a Trajectory, with its events but without config, from an output directory."""
+    """Rebuild a Trajectory, with its events but without config, from an output
+    directory; a run that ended before its first sample has no samples."""
     run_dir = Path(run_dir)
     manifest = simulator.read_manifest(run_dir / "manifest.txt")
     times, g, xi, aux = simulator.read_trajectory_csv(
-        run_dir / "trajectory.csv", manifest["group"]
+        run_dir / "trajectory.csv", manifest["group"], manifest.get("agents")
     )
     return Trajectory(
         group_name=manifest["group"],

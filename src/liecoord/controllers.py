@@ -327,25 +327,24 @@ def compatibility_check(group, g, cs, mode="lic", tol=1e-8):
     mode "lic": for each pair (j, k), do controls u_j, u_k exist with
     Ad_{lambda_jk} (a + B u_j) = a + B u_k?  mode "tc": same with a single
     common control u.  Returns a boolean (N, N) matrix (diagonal True).
+    All ordered pairs are solved at once, in least squares through one
+    stacked pseudo-inverse, with the singular-value cutoff of np.linalg.lstsq.
     """
     if mode not in ("lic", "tc"):
         raise ControllerError(f"unknown mode {mode!r}")
     g = group.require_element(g)
     n_agents = g.shape[0]
+    j, k = np.nonzero(~np.eye(n_agents, dtype=bool))
+    M = group.adjoint_matrix(group.left_relative(g[k], g[j]))
+    rhs = M @ cs.a - cs.a
+    MB = M @ cs.B
+    if mode == "lic":
+        X = np.concatenate([np.broadcast_to(cs.B, MB.shape), -MB], axis=-1)
+    else:
+        X = cs.B - MB
+    sol = np.linalg.pinv(X, rcond=np.finfo(float).eps * max(X.shape[-2:])) @ rhs[..., None]
     out = np.eye(n_agents, dtype=bool)
-    for k in range(n_agents):
-        for j in range(n_agents):
-            if j == k:
-                continue
-            lam = group.left_relative(g[k], g[j])
-            M = group.adjoint_matrix(lam)
-            rhs = M @ cs.a - cs.a
-            if mode == "lic":
-                X = np.hstack([cs.B, -M @ cs.B])
-            else:
-                X = cs.B - M @ cs.B
-            sol, *_ = np.linalg.lstsq(X, rhs, rcond=None)
-            out[j, k] = np.linalg.norm(X @ sol - rhs) <= tol
+    out[j, k] = np.linalg.norm((X @ sol)[..., 0] - rhs, axis=-1) <= tol
     return out
 
 

@@ -613,14 +613,3 @@ def get_group(name):
         return GROUPS[name.lower()]
     except KeyError:
         raise GroupError(f"unknown group {name!r}; choose from {sorted(GROUPS)}") from None
-
-
-def is_unitary_adjoint(group, samples=200, rng=None, tol=1e-9, pos_scale=2.0):
-    """True iff ||Ad_g xi|| = ||xi|| on all sampled (g, xi) pairs."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    g = group.random(rng, samples, pos_scale=pos_scale)
-    xi = group.random_algebra(rng, samples)
-    err = np.abs(
-        np.linalg.norm(group.adjoint(g, xi), axis=-1) - np.linalg.norm(xi, axis=-1)
-    )
-    return bool(np.max(err) <= tol)

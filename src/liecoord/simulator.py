@@ -475,8 +475,12 @@ def read_manifest(path):
 _AUX_COLUMN = re.compile(r"^aux\.(.*?)\d+$")
 
 
-def read_trajectory_csv(path, group_name):
-    """Rebuild (times, g, xi, aux) from an exported trajectory file."""
+def read_trajectory_csv(path, group_name, n_agents=None):
+    """Rebuild (times, g, xi, aux) from an exported trajectory file.
+
+    A file without rows (a run that ended before its first sample) is read as
+    no samples of n_agents agents, and is a ConfigError without n_agents.
+    """
     group = get_group(group_name)
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -500,18 +504,20 @@ def read_trajectory_csv(path, group_name):
         first.setdefault(m.group(1), i)
         end[m.group(1)] = i + 1
     if len(data) == 0:
-        raise ConfigError("trajectory has no rows")
-    if data.shape[1] != len(header):
+        if not (type(n_agents) is int and n_agents >= 1):
+            raise ConfigError(f"trajectory has no rows and {n_agents!r} agents")
+        data = np.zeros((0, n_agents, len(header)))
+    elif data.shape[1] != len(header):
         raise ConfigError(
             f"trajectory rows have {data.shape[1]} columns, its header {len(header)}"
         )
-
-    # rows go snapshot by snapshot, agent ids 0..N-1 in order, one time each
-    s = int(np.count_nonzero(data[:, 1] == 0))
-    if s == 0 or len(data) % s:
-        raise ConfigError("trajectory rows are not a whole number of snapshots")
-    n = len(data) // s
-    data = data.reshape(s, n, -1)
+    else:
+        # rows go snapshot by snapshot, agent ids 0..N-1 in order, one time each
+        s = int(np.count_nonzero(data[:, 1] == 0))
+        if s == 0 or len(data) % s:
+            raise ConfigError("trajectory rows are not a whole number of snapshots")
+        data = data.reshape(s, len(data) // s, -1)
+    n = data.shape[1]
     bad = np.any(data[:, :, 1] != np.arange(n), axis=1)
     if np.any(bad):
         raise ConfigError(f"agent ids of snapshot {int(np.argmax(bad))} are not 0..{n - 1} in order")

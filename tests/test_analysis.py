@@ -2,19 +2,19 @@
 configurations, geometric oracles, probes."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from liecoord import analysis
 from liecoord.analysis import (
     PAIR_CHUNK,
     AnalysisError,
     check_coordination,
-    check_se2_lic_tc_equivalence,
     cm_algebra_basis,
     cm_algebra_dimension,
-    cm_group_dimension_estimate,
-    cm_membership,
     compatible_velocities,
     generate_tc_configuration,
     tc_basin_probe,
@@ -26,7 +26,7 @@ from liecoord.analysis import (
 )
 from liecoord.controllers import ControlSetting
 from liecoord.graphs import CommGraph
-from liecoord.groups import SE2, SE3, SO3, so3_exp
+from liecoord.groups import SE2, SE3, SO3, matvec, rot2, so3_exp, wrap_angle
 from liecoord.simulator import InitSpec, ScenarioConfig, Trajectory, metric_traces, run
 
 E1, E2, E3 = np.eye(3)
@@ -100,9 +100,15 @@ def _random_recorded(group, n, samples, seed):
     return _recorded(group, g, xi, np.linspace(0.0, 0.1 * (samples - 1), samples))
 
 
+def _wins(v, best):
+    """v replaces the running maximum best: it is larger, or the first NaN."""
+    return v > best or (np.isnan(v) and not np.isnan(best))
+
+
 def _reference_check(traj):
     """Per-pair loop over every agent pair: (lambda, pair, time), rho and the
-    two velocity gaps."""
+    two velocity gaps.  The largest value wins, then the earliest pair, then
+    the earliest sample; a NaN wins; a maximum of 0 names no pair."""
     group, g, xi, t = traj.group, traj.g, traj.xi, traj.times
     xi_r = group.adjoint(g, xi)
 
@@ -114,12 +120,14 @@ def _reference_check(traj):
     for j in range(traj.n_agents):
         for k in range(j + 1, traj.n_agents):
             rate = drift(group.left_relative, j, k)
-            i = int(np.argmax(rate))
-            if rate[i] > lam:
+            i = int(np.argmax(rate))        # the first NaN, else the first maximum
+            if _wins(rate[i], lam):
                 lam, lam_at = float(rate[i]), ((j, k), float(t[i + 1]))
-            rho = max(rho, float(np.max(drift(group.right_relative, j, k))))
-            gap_r = max(gap_r, float(np.max(np.linalg.norm(xi_r[:, k] - xi_r[:, j], axis=-1))))
-            gap_l = max(gap_l, float(np.max(np.linalg.norm(xi[:, k] - xi[:, j], axis=-1))))
+            values = (np.max(drift(group.right_relative, j, k)),
+                      np.max(np.linalg.norm(xi_r[:, k] - xi_r[:, j], axis=-1)),
+                      np.max(np.linalg.norm(xi[:, k] - xi[:, j], axis=-1)))
+            rho, gap_r, gap_l = (float(v) if _wins(v, m) else m
+                                 for v, m in zip(values, (rho, gap_r, gap_l)))
     return lam, lam_at, rho, gap_r, gap_l
 
 
@@ -151,6 +159,127 @@ def test_check_inverts_each_agent_once(monkeypatch, group):
     monkeypatch.setattr(group, "inverse", counting)
     check_coordination(traj, "lic", window=1.0)
     assert calls == [traj.g.shape]
+
+
+# kinds of recorded swarms for the property test below
+SWARM_KINDS = {
+    "moving": "each agent at its own constant body velocity",
+    "coordinated": "one common velocity, applied on the left or on the right",
+    "nearly": "static, translations perturbed by a few ulps (about 1e-15) at every sample",
+    "static": "a random half of the agents at rest",
+    "frozen": "every agent at rest, every velocity zero",
+    "nan": "moving, with one NaN entry of one agent at one sample",
+    "off": "moving, 1e-3 off the manifold",
+    "pi": "SE(2) headings near pi, turning across it",
+    "reversed": "moving, at decreasing sample times",
+}
+
+
+def _swarm(group, kind, n, seed, samples=7):
+    """A recorded swarm of the given kind (SWARM_KINDS) at uneven sample times."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.05, 0.15, samples)) * (-1 if kind == "reversed" else 1)
+    g0 = group.random(rng, n, pos_scale=3.0)
+    xi = group.random_algebra(rng, (n,))
+    if kind == "pi":
+        g0[:, 2] = wrap_angle(np.pi + rng.uniform(-0.2, 0.2, n))
+        xi[:, 2] = rng.choice([-1.0, 1.0], n)
+    if kind in ("coordinated", "nearly"):
+        xi[:] = xi[0]
+    move = xi.copy()
+    if kind == "static":
+        move[rng.random(n) < 0.5] = 0.0
+    if kind in ("nearly", "frozen"):
+        move[:] = 0.0
+    if kind == "frozen":
+        xi[:] = 0.0
+    step = group.exp(t[:, None, None] * move)
+    left = kind == "coordinated" and rng.random() < 0.5
+    g = group.compose(step, g0) if left else group.compose(g0, step)
+    if kind == "static":
+        xi = move
+    xi = np.broadcast_to(xi, (samples,) + xi.shape).copy()
+    if kind == "nearly":
+        # a few ulps of the translations (of SO(3) rotations): the rounding of
+        # compose is then as large as the motion
+        block = {"se2": (Ellipsis, slice(0, 2)), "se3": (Ellipsis, slice(0, 3), 3)}.get(
+            group.name, Ellipsis)
+        g[block] += np.spacing(g[block]) * rng.integers(-3, 4, g[block].shape)
+        xi += 1e-15 * rng.standard_normal(xi.shape)
+    if kind == "off":
+        # SE(3) rotation blocks, or at random the whole matrix, bottom row included
+        block = (Ellipsis, slice(0, 3), slice(0, 3)) if rng.random() < 0.5 else Ellipsis
+        g[block] += 1e-3 * rng.standard_normal(g[block].shape)
+    if kind == "nan":
+        s, a = rng.integers(samples), rng.integers(n)
+        target = g if rng.random() < 0.5 else xi
+        target[s, a].flat[rng.integers(target[s, a].size)] = np.nan
+    return _recorded(group, g, xi, t)
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+PROPERTY_CASES = [(group, kind) for group in (SO3, SE2, SE3) for kind in SWARM_KINDS
+                  if not (kind == "pi" and group is not SE2) and not (kind == "off" and group is SE2)]
+
+
+@pytest.mark.usefixtures("hypothesis_without_local_constants")
+@pytest.mark.parametrize("group, kind", PROPERTY_CASES,
+                         ids=[f"{g.name}-{k}" for g, k in PROPERTY_CASES])
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(n=st.sampled_from([2, 3, 70]), seed=st.integers(0, 2**32 - 1))
+@example(n=70, seed=0)
+def test_pruned_check_equals_the_per_pair_loop(group, kind, n, seed):
+    traj = _swarm(group, kind, n, seed)
+    lam, (pair, t), rho, gap_r, gap_l = _reference_check(traj)
+    # small chunks stop near the first bound below the maximum
+    for chunk in (PAIR_CHUNK, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "PAIR_CHUNK", chunk)
+            rep = check_coordination(traj, "lic", window=1.0)
+        assert _same(rep.lambda_drift, lam) and _same(rep.rho_drift, rho)
+        assert _same(rep.xi_r_disagreement, gap_r) and _same(rep.xi_l_disagreement, gap_l)
+        assert rep.lambda_pair == pair and rep.lambda_time == t
+
+
+def test_check_ties_go_to_the_earliest_pair():
+    # SE(3) agents 2i at rest, agents 2i + 1 moving along x; every mixed pair
+    # drifts at exactly 2.  Rotation blocks diag(1, 1, 1 + k 2^-20) raise the
+    # bound of a pair with its second agent k, not its drift, so (0, 1) has
+    # the lowest bound of the 2,500 tied pairs and is evaluated in a later
+    # chunk than the first tie.
+    n, times = 100, np.arange(5) / 16.0
+    assert (n // 2) ** 2 > PAIR_CHUNK
+    Q = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+    Q[:, 2, 2] += np.arange(n) * 2.0**-20
+    r = np.zeros((5, n, 3))
+    r[:, :, 1] = np.arange(n)
+    r[:, 1::2, 0] = 2.0 * times[:, None]
+    g = SE3.make(r, np.broadcast_to(Q, (5, n, 3, 3)))
+    rep = check_coordination(_recorded(SE3, g, np.zeros((5, n, 6)), times), "lic", window=1.0)
+    assert rep.lambda_drift == 2.0
+    assert rep.lambda_pair == (0, 1) and rep.lambda_time == times[1]
+
+
+def test_check_evaluates_few_pairs_of_a_ring(monkeypatch):
+    # SE(3) lic_consensus on a 256-agent ring: the bounds leave fewer than 40%
+    # of the pairs for exact evaluation, lambda and rho drifts together
+    cfg = ScenarioConfig(group="se3", n_agents=256, controller="lic_consensus",
+                         graph=CommGraph.ring(256), t_end=2.0, h=1e-3, seed=3,
+                         record_every=10)
+    traj = run(cfg)
+    evaluated = []
+    compose = SE3.compose
+
+    def counting(g, h):
+        evaluated.append(np.shape(g)[1])
+        return compose(g, h)
+
+    monkeypatch.setattr(SE3, "compose", counting)
+    check_coordination(traj, "lic", window=0.2)
+    assert 0 < sum(evaluated) < 0.4 * 256 * 255 // 2
 
 
 def test_check_names_the_worst_pair_and_time():
@@ -196,6 +325,30 @@ def test_check_memory_is_bounded_at_256_agents():
 # ---------------------------------------------------------------------------
 # isotropy sets
 # ---------------------------------------------------------------------------
+
+def cm_membership(group, g, xi, tol=1e-9):
+    """True iff Ad_g xi = xi within tol (g fixes the velocity xi)."""
+    err = np.linalg.norm(group.adjoint(g, xi) - np.asarray(xi, dtype=float), axis=-1)
+    return np.max(err) <= tol if err.ndim else bool(err <= tol)
+
+
+def cm_group_dimension_estimate(group, xi, eps=1e-7, rel_tol=1e-6):
+    """Isotropy-subgroup dimension from the linearization of g -> Ad_g xi - xi
+    at the identity (finite differences along the algebra basis)."""
+    xi = np.asarray(xi, dtype=float)
+    cols = []
+    for i in range(group.dim):
+        eta = np.zeros(group.dim)
+        eta[i] = eps
+        plus = group.adjoint(group.exp(eta), xi)
+        minus = group.adjoint(group.exp(-eta), xi)
+        cols.append((plus - minus) / (2.0 * eps))
+    J = np.stack(cols, axis=-1)
+    s = np.linalg.svd(J, compute_uv=False)
+    scale = max(s[0], float(np.linalg.norm(xi)), 1e-30)
+    rank = int(np.sum(s > rel_tol * scale))
+    return group.dim - rank
+
 
 def test_cm_membership_basics():
     rng = np.random.default_rng(3)
@@ -384,6 +537,46 @@ def test_se3_generated_agents_share_helix_cylinder():
 # ---------------------------------------------------------------------------
 # steering equivalence on SE(2) vs SE(3)
 # ---------------------------------------------------------------------------
+
+@dataclass
+class Se2EquivalenceReport:
+    perp_max: float       # max |alpha(g, u) . B u| over samples
+    formula_max: float    # max gap to alpha(g, u) = (R(t) e1 - u J r, 0)
+    lic_achieved: bool
+    ric_achieved: bool
+    equivalent: bool      # LIC implies RIC on this trajectory
+
+
+def check_se2_lic_tc_equivalence(traj, window=1.0, tol=1e-3):
+    """On an SE(2) steering trajectory, verify the orthogonal splitting
+    Ad_g (a + B u) = alpha(g, u) + B u and that reaching LIC also gives RIC."""
+    if traj.group_name != "se2":
+        raise AnalysisError("equivalence check applies to SE(2) trajectories")
+    g = traj.g.reshape(-1, 3)
+    xi = traj.xi.reshape(-1, 3)
+    if len(xi) and np.max(np.abs(xi[:, :2] - np.array([1.0, 0.0]))) > 1e-9:
+        raise AnalysisError("not a steering trajectory: body linear velocity is not e1")
+    u = xi[:, 2]
+    xi_r = SE2.adjoint(g, xi)
+    bu = np.zeros_like(xi_r)
+    bu[:, 2] = u
+    alpha = xi_r - bu
+    perp = float(np.max(np.abs(np.einsum("ki,ki->k", alpha, bu)))) if len(alpha) else 0.0
+    expect_v = matvec(rot2(SE2.angle(g)), np.array([1.0, 0.0])) - u[:, None] * np.stack(
+        [-SE2.position(g)[:, 1], SE2.position(g)[:, 0]], axis=-1
+    )
+    formula = np.concatenate([expect_v, np.zeros((len(alpha), 1))], axis=-1)
+    formula_max = float(np.max(np.abs(alpha - formula))) if len(alpha) else 0.0
+
+    rep = check_coordination(traj, "lic", window=window, tol=tol)
+    return Se2EquivalenceReport(
+        perp_max=perp,
+        formula_max=formula_max,
+        lic_achieved=rep.lic_by_position,
+        ric_achieved=rep.ric_by_velocity,
+        equivalent=(not rep.lic_by_position) or rep.ric_by_velocity,
+    )
+
 
 def _se2_steering_traj(seed, perturb=0.05, t_end=40.0):
     rng = np.random.default_rng(seed)

@@ -559,6 +559,20 @@ def test_cmd_run_blowup_at_t0_writes_header_only_files(tmp_path, capsys):
     assert np.isnan(xi[0]) and xi[1:] == [0.0, 0.0]
 
 
+def test_run_that_blew_up_at_t0_reloads_without_samples(tmp_path, capsys):
+    text = TC_OPEN_LOOP.format(p1="0 1 0", p2="1 0 0").replace("xi = 1.0 0.0 0.7",
+                                                               "xi = nan 0 0")
+    out = tmp_path / "o"
+    assert cli.main(["run", _write(tmp_path, text), "--out", str(out)]) == cli.EXIT_FAILURE
+    traj, manifest = cli.load_run(out)
+    assert traj.times.shape == (0,) and traj.n_agents == manifest["agents"] == 3
+    assert traj.g.shape == (0, 3, 3) and traj.xi.shape == (0, 3, 3)
+    assert traj.events[0].kind == "blowup" and traj.completed is False
+    capsys.readouterr()
+    assert cli.main(["check", str(out), "--mode", "lic"]) == cli.EXIT_USAGE
+    assert "no recorded samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("controller, params, bad", [
     ("constant", "xi = 1 0", "xi"),
     ("underactuated_lic", "monitor_tol = tight", "monitor_tol"),

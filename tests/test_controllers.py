@@ -22,6 +22,7 @@ from liecoord.controllers import (
     tc_right_cascade_rhs,
     underactuated_lic_rhs,
 )
+from liecoord.analysis import generate_tc_configuration
 from liecoord.graphs import CommGraph
 from liecoord.groups import GROUPS, SE2, SE3, SO3, cross3, matvec, so3_exp
 from liecoord.simulator import ScenarioConfig, SwarmState, run, write_trajectory_csv
@@ -759,6 +760,50 @@ def test_compatibility_se2_steering_circle():
         assert not compatibility_check(SE2, g_off, cs, mode="lic")[0, 1]
         assert not compatibility_check(SE2, g_off, cs, mode="tc")[0, 1]
 
+
+
+def _compatibility_by_pair_loop(group, g, cs, mode, tol=1e-8):
+    """The former form of compatibility_check: one lstsq per ordered pair."""
+    n = g.shape[0]
+    out = np.eye(n, dtype=bool)
+    for k in range(n):
+        for j in range(n):
+            if j == k:
+                continue
+            M = group.adjoint_matrix(group.left_relative(g[k], g[j]))
+            rhs = M @ cs.a - cs.a
+            X = np.hstack([cs.B, -M @ cs.B]) if mode == "lic" else cs.B - M @ cs.B
+            sol, *_ = np.linalg.lstsq(X, rhs, rcond=None)
+            out[j, k] = np.linalg.norm(X @ sol - rhs) <= tol
+    return out
+
+
+# every group and control setting the tests use
+COMPATIBILITY_SETTINGS = [
+    ("so3-fully", SO3, ControlSetting.fully(3)),
+    ("so3-two-axis", SO3, ControlSetting.so3_two_axis()),
+    ("so3-two-axis-drift", SO3, ControlSetting.so3_two_axis(drift=True)),
+    ("se2-fully", SE2, ControlSetting.fully(3)),
+    ("se2-steering", SE2, ControlSetting.se2_steering()),
+    ("se2-translation", SE2, ControlSetting(np.zeros(3), np.eye(3)[:, :2])),
+    ("se3-fully", SE3, ControlSetting.fully(6)),
+    ("se3-steering", SE3, ControlSetting.se3_steering()),
+]
+
+
+@pytest.mark.parametrize("mode", ["lic", "tc"])
+@pytest.mark.parametrize("name, group, cs", COMPATIBILITY_SETTINGS,
+                         ids=[c[0] for c in COMPATIBILITY_SETTINGS])
+def test_stacked_compatibility_matches_the_pair_loop(name, group, cs, mode):
+    rng = np.random.default_rng(34)
+    xi = cs.a + cs.B @ rng.standard_normal(cs.m)
+    coordinated = generate_tc_configuration(group, xi, 6, rng)
+    mixed = coordinated.copy()
+    mixed[2] = group.random(rng)
+    assert compatibility_check(group, coordinated, cs, mode).all()
+    for g in (group.random(rng, 6), coordinated, mixed, coordinated[:1]):
+        want = _compatibility_by_pair_loop(group, g, cs, mode)
+        np.testing.assert_array_equal(compatibility_check(group, g, cs, mode), want)
 
 # ---------------------------------------------------------------------------
 # the controller table

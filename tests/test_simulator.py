@@ -482,6 +482,19 @@ def test_header_only_trajectory_csv_is_a_config_error(tmp_path):
         read_trajectory_csv(path, "se2")
 
 
+@pytest.mark.parametrize("n_agents", [0, -1, "3", True, 2.0])
+def test_header_only_trajectory_csv_needs_a_whole_agent_count(tmp_path, n_agents):
+    # the count comes from a manifest, which is outside input
+    cfg = _cfg(t_end=0.02)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(cfg), path)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ConfigError, match="no rows"):
+        read_trajectory_csv(path, "se2", n_agents)
+    times, g, xi, _ = read_trajectory_csv(path, "se2", 2)
+    assert times.shape == (0,) and g.shape == (0, 2, 3) and xi.shape == (0, 2, 3)
+
+
 def _truncate_second_row(lines):
     lines[2] = lines[2].split(",")[0]
 
