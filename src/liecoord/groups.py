@@ -379,7 +379,7 @@ class SO3Group(LieGroup):
 
     def from_payload(self, arr):
         arr = np.asarray(arr, dtype=float)
-        return arr.reshape(arr.shape[:-1] + (3, 3))
+        return arr.reshape(arr.shape[:-1] + (3, 3)).copy()
 
 
 class SE2Group(LieGroup):

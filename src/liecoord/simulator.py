@@ -17,7 +17,13 @@ that overflows is caught at the next step, not at the next reprojection.
 A run is exported as trajectory.csv (aux columns named aux.<field><i>),
 metrics.csv and a manifest: one JSON object holding the config as plain data
 (ScenarioConfig.record, which config_hash also hashes), the status and the
-events, so that a reloaded run keeps them.
+events, so that a reloaded run keeps them and its metrics.  In the CSV files
+"#" starts no comment: a line or cell holding one is a malformed row.
+
+Each recorded array is held once.  An aux field whose samples are the
+recorded velocity bit for bit (the aux xi of a velocity law, which commands
+its own state) is the Trajectory's xi array itself, in a run and in a reload;
+a reload holds arrays of its own, not views of the parsed text.
 """
 
 from __future__ import annotations
@@ -261,6 +267,14 @@ def _all_finite(x):
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
+def _same_bits(a, b):
+    """Whether two float arrays have one shape and the same bits, so that
+    -0.0 differs from 0.0 and a NaN payload counts.  Bytes, not int64 views:
+    the first use of numpy's integer comparison maps about 0.3 MB more of its
+    library into the process."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _nonfinite_detail(group, g, xi):
     """Blowup detail naming the agents whose position, or else velocity, is
     not finite."""
@@ -360,12 +374,13 @@ def run(cfg):
                 state = SwarmState(state.t, group._reproject(state.g), state.aux)
 
     events = log.as_list()
+    xi = xi_rec[:s]
     return Trajectory(
         group_name=cfg.group,
         times=times[:s],
         g=g_rec[:s],
-        xi=xi_rec[:s],
-        aux={k: v[:s] for k, v in aux_rec.items()},
+        xi=xi,
+        aux={k: xi if _same_bits(v[:s], xi) else v[:s] for k, v in aux_rec.items()},
         metrics={k: v[:s] for k, v in metric_rec.items()},
         events=events,
         completed=all(e.kind != "blowup" for e in events),
@@ -433,8 +448,12 @@ def write_trajectory_csv(traj, path):
     _write_csv(path, header, rows.reshape(s * n, len(header)), int_col=1)
 
 
+def _metrics_header(n_agents):
+    return ["t", *METRIC_NAMES, *(f"V_k_{k}" for k in range(n_agents))]
+
+
 def write_metrics_csv(traj, path):
-    header = ["t"] + list(METRIC_NAMES) + [f"V_k_{k}" for k in range(traj.n_agents)]
+    header = _metrics_header(traj.n_agents)
     rows = np.column_stack([traj.times] + [traj.metrics[name] for name in METRIC_NAMES]
                            + [traj.metrics["V_k"]])
     _write_csv(path, header, rows)
@@ -475,23 +494,31 @@ def read_manifest(path):
 _AUX_COLUMN = re.compile(r"^aux\.(.*?)\d+$")
 
 
+def _read_csv(path, what):
+    """The header cells and the rows (a 2-D float array) of a CSV file; "#"
+    starts no comment, so a line or cell holding one is a malformed row."""
+    with open(path) as f:
+        with warnings.catch_warnings():
+            # a file without rows is reported by the callers
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                header = f.readline().rstrip("\n").split(",")
+                return header, np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+            except ValueError as e:
+                # a truncated row, a value that is not a number, or bytes that are not text
+                raise ConfigError(f"malformed {what} row: {e}") from e
+
+
 def read_trajectory_csv(path, group_name, n_agents=None):
     """Rebuild (times, g, xi, aux) from an exported trajectory file.
 
     A file without rows (a run that ended before its first sample) is read as
     no samples of n_agents agents, and is a ConfigError without n_agents.
+    Every array returned owns its memory, except that an aux field equal to
+    xi bit for bit is the xi array.
     """
     group = get_group(group_name)
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        with warnings.catch_warnings():
-            # a file without rows is reported below as a ConfigError
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                data = np.loadtxt(f, delimiter=",", ndmin=2)
-            except ValueError as e:
-                # a truncated row or a value that is not a number
-                raise ConfigError(f"malformed trajectory row: {e}") from e
+    header, data = _read_csv(path, "trajectory")
     n_payload = len(group.payload_columns)
     want = ["t", "agent"] + list(group.payload_columns) + [f"xi{i}" for i in range(group.dim)]
     if header[: len(want)] != want:
@@ -525,7 +552,29 @@ def read_trajectory_csv(path, group_name, n_agents=None):
     bad = np.any(data[:, :, 0] != times[:, None], axis=1)
     if np.any(bad):
         raise ConfigError(f"times differ within snapshot {int(np.argmax(bad))}")
-    payload = data[:, :, 2:2 + n_payload]
-    xi = data[:, :, 2 + n_payload:len(want)]
-    aux = {name: data[:, :, first[name]:end[name]] for name in first}
-    return times, group.from_payload(payload), xi, aux
+    # copies, so that the parsed rows are freed on return
+    xi = data[:, :, 2 + n_payload:len(want)].copy()
+    aux = {}
+    for name in first:
+        block = data[:, :, first[name]:end[name]]
+        aux[name] = xi if _same_bits(block, xi) else block.copy()
+    return times.copy(), group.from_payload(data[:, :, 2:2 + n_payload]), xi, aux
+
+
+def read_metrics_csv(path, n_agents):
+    """Rebuild (times, metrics) from the file write_metrics_csv wrote for a run
+    of n_agents agents: metrics maps V_* to (S,) and V_k to (S, N) arrays of
+    their own.  Any other file is a ConfigError."""
+    header, data = _read_csv(path, "metrics")
+    if not (type(n_agents) is int and n_agents >= 1):
+        raise ConfigError(f"metrics of {n_agents!r} agents")
+    # the length first: the agent count comes from the manifest
+    if len(header) != 1 + len(METRIC_NAMES) + n_agents or header != _metrics_header(n_agents):
+        raise ConfigError(f"unexpected metrics header for {n_agents} agents")
+    if len(data) == 0:
+        data = np.zeros((0, len(header)))
+    elif data.shape[1] != len(header):
+        raise ConfigError(f"metrics rows have {data.shape[1]} columns, its header {len(header)}")
+    metrics = {name: data[:, i].copy() for i, name in enumerate(METRIC_NAMES, 1)}
+    metrics["V_k"] = data[:, 1 + len(METRIC_NAMES):].copy()
+    return data[:, 0].copy(), metrics

@@ -1,5 +1,6 @@
 """Scenario parsing and the command-line front end."""
 
+import json
 import os
 import re
 import subprocess
@@ -567,6 +568,10 @@ def test_run_that_blew_up_at_t0_reloads_without_samples(tmp_path, capsys):
     traj, manifest = cli.load_run(out)
     assert traj.times.shape == (0,) and traj.n_agents == manifest["agents"] == 3
     assert traj.g.shape == (0, 3, 3) and traj.xi.shape == (0, 3, 3)
+    assert all(traj.metrics[name].shape == (0,) for name in simulator.METRIC_NAMES)
+    assert traj.metrics["V_k"].shape == (0, 3)
+    simulator.write_metrics_csv(traj, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (out / "metrics.csv").read_bytes()
     assert traj.events[0].kind == "blowup" and traj.completed is False
     capsys.readouterr()
     assert cli.main(["check", str(out), "--mode", "lic"]) == cli.EXIT_USAGE
@@ -628,3 +633,103 @@ _SCHEDULE = MINIMAL.replace("kind = empty", "kind = schedule\nsegment_0 = {}")
 def test_parse_malformed_values_are_config_errors(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
         parse_scenario(_write(tmp_path, text))
+
+
+# ---------------------------------------------------------------------------
+# reloaded runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("group, controller", [
+    ("so3", "lic_consensus"),
+    ("se2", "ric_consensus"),
+    ("se2", "tc_left_cascade"),
+    ("se3", "lic_consensus"),
+    ("se3", "se3_steering_helical"),
+])
+def test_reloaded_arrays_own_their_memory(tmp_path, group, controller):
+    cfg = ScenarioConfig(group=group, n_agents=3, controller=controller,
+                         graph=CommGraph.complete(3), t_end=0.05, h=1e-2, seed=2,
+                         record_every=1)
+    traj = simulator.run(cfg)
+    cli._write_run(traj, tmp_path)
+    loaded, _ = cli.load_run(tmp_path)
+    arrays = {"times": loaded.times, "g": loaded.g, "xi": loaded.xi}
+    arrays.update({f"aux.{k}": v for k, v in loaded.aux.items() if v is not loaded.xi})
+    arrays.update({f"metrics.{k}": v for k, v in loaded.metrics.items()})
+    assert (loaded.aux.get("xi") is loaded.xi) == ("xi" in traj.aux)
+    for name, a in arrays.items():
+        assert a.base is None, name
+        for other, b in arrays.items():
+            assert other == name or not np.shares_memory(a, b), (name, other)
+
+
+def _run_dir(tmp_path, text):
+    out = tmp_path / "o"
+    cli.main(["run", _write(tmp_path, text), "--out", str(out)])
+    return out
+
+
+def test_reload_keeps_the_recorded_metrics(tmp_path, capsys):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.5))
+    traj = simulator.run(parse_scenario(str(tmp_path / "scenario.ini")))
+    loaded, _ = cli.load_run(out)
+    assert loaded.metrics.keys() == traj.metrics.keys()
+    for name, values in traj.metrics.items():
+        assert loaded.metrics[name].tobytes() == values.tobytes()
+    simulator.write_metrics_csv(loaded, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+def test_reload_without_a_metrics_file_has_no_metrics(tmp_path, capsys):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    (out / "metrics.csv").unlink()
+    loaded, _ = cli.load_run(out)
+    assert loaded.metrics == {} and len(loaded.times) == 11
+
+
+def _metrics_rows(lines):
+    lines.insert(2, lines[2])
+
+
+def _metrics_time(lines):
+    t, rest = lines[2].split(",", 1)
+    lines[2] = f"{float(t) + 1.0!r},{rest}"
+
+
+def _metrics_agents(lines):
+    lines[:] = [line.rsplit(",", 1)[0] for line in lines]
+
+
+def _metrics_comment(lines):
+    lines.insert(2, "# note")
+
+
+def _metrics_renamed_column(lines):
+    lines[0] = lines[0].replace("V_l", "V_x")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_metrics_rows, "metrics times"),
+    (_metrics_time, "metrics times"),
+    (_metrics_agents, "metrics header"),
+    (_metrics_comment, "malformed metrics row"),
+    (_metrics_renamed_column, "metrics header"),
+])
+def test_malformed_metrics_csv_is_a_config_error(tmp_path, capsys, damage, message):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    lines = (out / "metrics.csv").read_text().splitlines()
+    damage(lines)
+    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        cli.load_run(out)
+    assert cli.main(["check", str(out), "--mode", "ric"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("agents", [None, 0, 2, True, "3"])
+def test_metrics_need_the_manifest_agent_count(tmp_path, capsys, agents):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    manifest["agents"] = agents
+    (out / "manifest.txt").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="metrics"):
+        cli.load_run(out)

@@ -6,10 +6,13 @@ section's own (and a few unknown ones), values come from a pool of valid and
 malformed tokens, and free-text lines are mixed in.  The pool holds no agent
 count above 3, so no draw builds a large graph.  Trajectory files are the
 header of an export, whole or cut, with aux columns appended, followed by rows
-of numbers or of any cells.  Manifests are a valid one with keys dropped and
-keys set to values from a pool, as JSON text, cut or whole, or free text;
-they are read through cli.load_run next to a valid trajectory file.  All runs
-are derandomized, so they are the same on every run.
+of numbers or of any cells.  Metrics files are built the same way, their rows
+starting with the trajectory's times or with others, and read through
+cli.load_run next to a valid trajectory file and manifest.  Manifests are a
+valid one with keys dropped and keys set to values from a pool, as JSON text,
+cut or whole, or free text; they are read through cli.load_run next to a
+valid trajectory file.  All runs are derandomized, so they are the same on
+every run.
 """
 
 import json
@@ -23,7 +26,7 @@ from liecoord.controllers import ControllerError
 from liecoord.graphs import GraphError
 from liecoord.groups import GROUPS, GroupError
 from liecoord.scenario import parse_scenario
-from liecoord.simulator import ConfigError, Event, read_trajectory_csv
+from liecoord.simulator import METRIC_NAMES, ConfigError, Event, read_trajectory_csv
 
 pytestmark = pytest.mark.usefixtures("hypothesis_without_local_constants")
 TYPED = (ConfigError, ControllerError, GraphError, GroupError)
@@ -81,7 +84,7 @@ def test_parse_scenario_raises_typed_errors_only(tmp_path, entries, dropped, fre
 
 
 _NUMBERS = ["0", "1", "2", "-0", "0.5", "1e308", "nan", "inf"]
-_CELLS = _NUMBERS + ["", " ", "a", "1,", "0x1"]
+_CELLS = _NUMBERS + ["", " ", "a", "1,", "0x1", "#", "1#2"]
 
 
 @FUZZ
@@ -123,6 +126,35 @@ _MANIFEST_BASE = {"schema": 2, "group": "se2", "agents": 1, "config_hash": None,
                   "config": None, "status": "completed", "events": [_EVENT]}
 _SE2_TRAJECTORY = "t,agent,x,y,theta,xi0,xi1,xi2\n" + "".join(
     f"{t},0,0,0,0,0,0,0\n" for t in (0.0, 0.5, 1.0))
+
+
+@FUZZ
+@given(st.sampled_from([1, 1, 2, 0, None, True, "1"]), st.data())
+def test_load_run_metrics_raise_typed_errors_only(tmp_path, agents, data):
+    # rows start with the times of _SE2_TRAJECTORY, or other times, or any cells
+    header = ["t", *METRIC_NAMES, "V_k_0"]
+    cut = data.draw(st.integers(0, len(header)))
+    extra = data.draw(st.lists(st.sampled_from(["V_k_0", "V_k_1", "V_r", "t", "x", ""]),
+                               max_size=2))
+    header = data.draw(st.sampled_from([header, header + extra, header[:cut] + extra]))
+    n_cols = data.draw(st.one_of(st.just(max(len(header), 1)), st.integers(1, len(header) + 1)))
+    times = data.draw(st.one_of(st.just(["0", "0.5", "1"]),
+                                st.lists(st.sampled_from(["0", "-0", "0.5", "1", "nan"]),
+                                         max_size=4)))
+    rows = [[t] + data.draw(st.lists(st.sampled_from(_NUMBERS), min_size=n_cols - 1,
+                                     max_size=n_cols - 1)) for t in times]
+    rows += data.draw(st.lists(st.lists(st.sampled_from(_CELLS), max_size=len(header) + 2),
+                               max_size=1))
+    (tmp_path / "metrics.csv").write_text(
+        "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
+    (tmp_path / "manifest.txt").write_text(json.dumps(dict(_MANIFEST_BASE, agents=agents)))
+    (tmp_path / "trajectory.csv").write_text(_SE2_TRAJECTORY)
+    try:
+        traj, _ = cli.load_run(tmp_path)
+    except TYPED:
+        return
+    assert all(traj.metrics[name].shape == (3,) for name in METRIC_NAMES)
+    assert traj.metrics["V_k"].shape == (3, 1)
 
 
 @FUZZ

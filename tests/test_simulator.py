@@ -453,6 +453,28 @@ def test_calls_per_step_are_pinned(make_cfg, python_calls, c_calls):
 # exports
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("group, controller, shared", [
+    ("se3", "lic_consensus", True),
+    ("se2", "ric_consensus", True),
+    ("so3", "experimental_vt_gradient", True),
+    ("so3", "tc_left_cascade", False),
+    ("se3", "se3_steering_linear", False),
+    ("se3", "se3_steering_helical", False),
+])
+def test_velocity_law_records_its_velocity_once(group, controller, shared):
+    cfg = _cfg(group=group, controller=controller, t_end=0.05, h=1e-2, record_every=1)
+    traj = run(cfg)
+    assert len(traj.times) == 6
+    if shared:
+        assert traj.aux["xi"] is traj.xi
+    else:
+        assert not any(np.shares_memory(v, traj.xi) for v in traj.aux.values())
+    # each recorded velocity is the one the law commands at that sample
+    law = build_controller(controller, traj.group, cs=cfg.control)
+    for i in range(len(traj.times)):
+        assert law.output(traj.state(i), cfg.graph).xi.tobytes() == traj.xi[i].tobytes()
+
+
 def test_csv_round_trip_exact(tmp_path):
     cfg = ScenarioConfig(
         group="se3", n_agents=2, controller="se3_steering_linear",
@@ -507,10 +529,21 @@ def _drop_last_column(lines):
     lines[1:] = [line.rsplit(",", 1)[0] for line in lines[1:]]
 
 
+def _comment_line(lines):
+    lines.insert(2, "# note")
+
+
+def _hash_in_a_cell(lines):
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",7#9"
+
+
 @pytest.mark.parametrize("damage, message", [
     (_truncate_second_row, "row"),
     (_letter_in_second_row, "row"),
     (_drop_last_column, "columns"),
+    # "#" starts no comment: a note line is not skipped, and 7#9 is not 7
+    (_comment_line, "malformed trajectory row"),
+    (_hash_in_a_cell, "malformed trajectory row"),
 ])
 def test_malformed_trajectory_csv_is_a_config_error(tmp_path, damage, message):
     cfg = _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
@@ -520,6 +553,13 @@ def test_malformed_trajectory_csv_is_a_config_error(tmp_path, damage, message):
     damage(lines)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=message):
+        read_trajectory_csv(path, "se2")
+
+
+def test_undecodable_trajectory_csv_is_a_config_error(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes(b"t,agent,x,y,theta,xi0,xi1,xi2\n0,0,\xff,0,0,0,0,0\n")
+    with pytest.raises(ConfigError, match="malformed trajectory"):
         read_trajectory_csv(path, "se2")
 
 
@@ -603,14 +643,28 @@ def _synthetic_trajectory(group, n, samples, seed):
     return Trajectory(group.name, times, g, xi, aux, metrics, [], True)
 
 
-@pytest.mark.parametrize("group, n, samples", [
-    (SO3, 3, 4),
-    (SE2, 5, CSV_BLOCK_ROWS // 5 + 3),      # more than one block, ragged last block
-    (SE3, 7, 2 * CSV_BLOCK_ROWS // 7 + 1),
-    (SE3, 1, CSV_BLOCK_ROWS),               # exactly one block
-], ids=lambda v: getattr(v, "name", str(v)))
-def test_block_writers_match_per_value_writers_byte_for_byte(tmp_path, group, n, samples):
+def _writer_case(group, n, samples, aux_xi=None):
+    return pytest.param(group, n, samples, aux_xi,
+                        id="-".join([group.name, str(n), str(samples)] + [aux_xi] * bool(aux_xi)))
+
+
+@pytest.mark.parametrize("group, n, samples, aux_xi", [
+    _writer_case(SO3, 3, 4),
+    _writer_case(SE2, 5, CSV_BLOCK_ROWS // 5 + 3),     # more than one block, ragged last block
+    _writer_case(SE3, 7, 2 * CSV_BLOCK_ROWS // 7 + 1),
+    _writer_case(SE3, 1, CSV_BLOCK_ROWS),              # exactly one block
+    _writer_case(SE2, 3, 5, "aux_is_xi"),              # a velocity law's aux xi
+    _writer_case(SO3, 2, 4, "aux_is_xi_but_negative_zero"),   # equal as floats, not as bits
+])
+def test_block_writers_match_per_value_writers_byte_for_byte(tmp_path, group, n, samples,
+                                                              aux_xi):
     traj = _synthetic_trajectory(group, n, samples, seed=n)
+    if aux_xi is not None:
+        traj.xi.reshape(-1)[1] = 0.0
+        traj.aux["xi"] = traj.xi
+        if aux_xi == "aux_is_xi_but_negative_zero":
+            traj.aux["xi"] = traj.xi.copy()
+            traj.aux["xi"].reshape(-1)[1] = -0.0
     for name, write, ref in (("trajectory", write_trajectory_csv, _ref_write_trajectory_csv),
                              ("metrics", write_metrics_csv, _ref_write_metrics_csv)):
         write(traj, tmp_path / f"{name}.csv")
@@ -620,6 +674,10 @@ def test_block_writers_match_per_value_writers_byte_for_byte(tmp_path, group, n,
     for token in (",-0,", ",4.9406564584124654e-324,", ",10000000000000000,", ",1e+17,",
                   ",inf,", ",nan,"):
         assert token in text
+    if aux_xi is not None:
+        _, _, xi, aux = read_trajectory_csv(tmp_path / "trajectory.csv", group.name)
+        assert (aux["xi"] is xi) == (aux_xi == "aux_is_xi")
+        assert aux["xi"].tobytes() == traj.aux["xi"].tobytes()
 
 
 def test_metrics_csv_header_and_manifest(tmp_path):
