@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import GROUPS, SO3, cross3
+from .groups import GROUPS, SO3, c_einsum, cross3
 
 
 class ControllerError(ValueError):
@@ -83,7 +83,7 @@ class ControlSetting:
 
     def project_range(self, v):
         """Orthogonal projection B B^T v of v onto the range of B."""
-        return np.einsum("im,...m->...i", self.B, np.einsum("jm,...j->...m", self.B, v))
+        return c_einsum("im,...m->...i", self.B, c_einsum("jm,...j->...m", self.B, v))
 
     def project(self, eta):
         """Orthogonal projection of eta onto the affine set C."""
@@ -218,7 +218,7 @@ def lyapunov_gradient_vector(group, eta, cs):
     """f with f(eta) . q = (eta - P(eta)) . [eta, B q] for all q, columnwise."""
     resid = eta - cs.project(eta)
     cols = group._bracket(eta[..., None, :], cs.B.T)  # [..., i, :] = [eta, b_i]
-    return np.einsum("...mn,...n->...m", cols, resid)
+    return c_einsum("...mn,...n->...m", cols, resid)
 
 
 def underactuated_lic_rhs(group, g, eta, graph, t=0.0, *, cs):
@@ -233,9 +233,9 @@ def underactuated_lic_rhs(group, g, eta, graph, t=0.0, *, cs):
     pi = cs.project(eta)
     resid = eta - pi
     q = -lyapunov_gradient_vector(group, eta, cs)
-    xi = pi + np.einsum("im,...m->...i", cs.B, q)
+    xi = pi + c_einsum("im,...m->...i", cs.B, q)
     deta = _consensus(A, deg, eta, group, g) - group._bracket(xi, eta)
-    s = np.einsum("...n,...n->...", resid, group._bracket(eta, pi))
+    s = c_einsum("...n,...n->...", resid, group._bracket(eta, pi))
     return xi, deta, s
 
 
@@ -304,7 +304,7 @@ def se3_steering_consensus_helical_rhs(g, alpha, beta, gamma, graph, t=0.0, *, u
     """
     A, deg = graph.in_terms(t)
     Q = g[..., :3, :3]
-    x = np.stack([alpha, beta, gamma])
+    x = np.array([alpha, beta, gamma])     # np.stack's copy, without its Python-level checks
     d = _consensus(A, deg, x, SO3, Q)
     d[1] += SO3._adjoint_inv(Q, _consensus(A, deg, g[..., :3, 3]))
     d[1] -= _E1
@@ -559,14 +559,14 @@ def _steering_velocity(u):
 def _se3_steering_linear(c, state, graph):
     """Steering control with the angular auxiliary part held at zero."""
     eta_v = state.aux["eta_v"]
-    u = se3_steering_control(eta_v, np.zeros_like(eta_v))
+    u = se3_steering_control(eta_v, np.zeros(eta_v.shape))
     deta = se3_steering_consensus_linear_rhs(state.g, eta_v, graph, state.t, u=u)
     return ControllerOutput(_steering_velocity(u), {"eta_v": deta})
 
 
 def _linear_eta(c, state):
     eta_v = state.aux["eta_v"]
-    return np.concatenate([eta_v, np.zeros_like(eta_v)], axis=-1)
+    return np.concatenate([eta_v, np.zeros(eta_v.shape)], axis=-1)
 
 
 def _se3_steering_helical(c, state, graph):

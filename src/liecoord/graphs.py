@@ -115,12 +115,6 @@ class CommGraph:
         i = self._segment_index(t)
         return self._matrices[i], self._degrees[i]
 
-    def in_neighbors(self, k, t=0.0):
-        """Sorted ids of agents sending to k at time t."""
-        if not (0 <= k < self.n):
-            raise GraphError(f"agent id {k} out of range for {self.n} agents")
-        return sorted(j for j, kk in self.edges_at(t) if kk == k)
-
     @property
     def is_static(self):
         return len(self.edge_sets) == 1

@@ -40,9 +40,23 @@ cross3 on the 3-vector halves, building neither an inverse element nor a 6x6
 matrix.  A 6x6 adjoint matrix is still built where the matrix itself is
 needed: the pairwise equilibrium test controllers.compatibility_check and the
 rows Ad_lambda - Id of analysis.compatible_velocities.
+
+In the kernels a step calls, each numpy operation is one call into numpy's C
+code.  On the few agents of a steering or basin step a call costs what its
+Python-level wrapper costs, not what its arithmetic costs: on a 3-agent array
+np.einsum takes about 2.4 us and its callee c_einsum 1.5 us; np.count_nonzero
+0.55 us and its C count_nonzero 0.12 us; np.swapaxes 1.1 us and the method
+.swapaxes 0.17 us (numpy 2.4, Python 3.11, one core of a Xeon).  So matvec
+calls c_einsum, the finiteness and small-angle tests call the C count_nonzero,
+the two imported here once from numpy._core.multiarray (numpy 2.0 on),
+transposes are the array method, and cross3 gathers its operands rather than
+slicing each column.  Each gives the same bits as the public form: np.einsum
+without optimize and np.count_nonzero with axis None are these two calls after
+their Python-level dispatch.
 """
 
 import numpy as np
+from numpy._core.multiarray import c_einsum, count_nonzero
 
 # Tolerance for manifold-constraint checks (e.g. Q^T Q = I on rotation blocks).
 TAU_MANIFOLD = 1e-9
@@ -50,6 +64,10 @@ _SMALL_ANGLE = 1e-6
 _I3 = np.eye(3)
 # positions of r and of Q row by row in a flattened 4x4 SE(3) matrix
 _SE3_EMBED_ORDER = np.array([3, 7, 11, 0, 1, 2, 4, 5, 6, 8, 9, 10])
+# the gathers of cross3, and the operand entries up to which it gathers by take
+_CROSS_X = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_Y = np.array([2, 0, 1, 1, 2, 0])
+_TAKE_ENTRIES = 192
 
 
 class GroupError(ValueError):
@@ -58,7 +76,7 @@ class GroupError(ValueError):
 
 def matvec(M, x):
     """Batched matrix-vector product M @ x over the trailing two/one axes."""
-    return np.einsum("...ij,...j->...i", M, x)
+    return c_einsum("...ij,...j->...i", M, x)
 
 
 def cross3(x, y):
@@ -66,22 +84,33 @@ def cross3(x, y):
 
     Bit for bit the same as np.cross, which the library does not call: on the
     few-agent arrays of a simulation step, np.cross spends most of its time in
-    moveaxis and axis normalisation rather than in the six products.  Each
-    difference is written straight into its output column.
+    moveaxis and axis normalisation rather than in the six products.  The
+    operands are gathered as (x1, x2, x0, x2, x0, x1) and (y2, y0, y1, y1, y2,
+    y0), so that one product and one difference give all three components.
+    Small operands are gathered with .take, which is cheaper per call; larger
+    ones by indexing, which is cheaper per entry (the two cross between 30 and
+    45 agents of (N, 3) operands on numpy 2.4).  Both copy the same entries,
+    and the product is laid out in C order either way (indexing puts the
+    gathered axis first in memory), so the result does not depend on which one
+    ran: a contraction that reads it sums in an order set by its layout.
     """
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-    p = x1 * y2
-    out = np.empty(p.shape + (3,))
-    np.subtract(p, x2 * y1, out=out[..., 0])
-    np.subtract(x2 * y0, x0 * y2, out=out[..., 1])
-    np.subtract(x0 * y1, x1 * y0, out=out[..., 2])
-    return out
+    if x.size + y.size <= _TAKE_ENTRIES:
+        p = x.take(_CROSS_X, -1) * y.take(_CROSS_Y, -1)
+    else:
+        p = np.multiply(x[..., _CROSS_X], y[..., _CROSS_Y], order="C")
+    return p[..., :3] - p[..., 3:]
 
 
 def hat(w):
     """Skew matrix of a 3-vector: hat(w) @ x == cross(w, x)."""
     w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (3,):
+        raise GroupError(f"hat expects (..., 3) vectors, got shape {w.shape}")
+    return _hat(w)
+
+
+def _hat(w):
+    """hat of a float array of trailing shape (3,), unchecked."""
     neg = -w                      # one negation instead of three
     out = np.zeros(w.shape[:-1] + (3, 3))
     out[..., 0, 1] = neg[..., 2]
@@ -140,7 +169,7 @@ def polar_rotation(M):
 def _rotation_defect(g, Q, bottom=None):
     """Per element, the largest of |Q^T Q - I|, |det Q - 1| and the bottom-row
     defect when given; inf where the matrix element g has a non-finite entry."""
-    ortho = np.max(np.abs(np.swapaxes(Q, -1, -2) @ Q - _I3), axis=(-1, -2))
+    ortho = np.max(np.abs(Q.swapaxes(-1, -2) @ Q - _I3), axis=(-1, -2))
     det = np.abs(np.linalg.det(Q) - 1.0)
     out = np.maximum(ortho, det)
     if bottom is not None:
@@ -216,10 +245,6 @@ class LieGroup:
         """Relative position g_k^-1 g_j (invariant under common left translation)."""
         return self.compose(self.inverse(g_k), g_j)
 
-    def right_relative(self, g_k, g_j):
-        """Relative position g_j g_k^-1 (invariant under common right translation)."""
-        return self.compose(g_j, self.inverse(g_k))
-
     def bracket(self, xi, eta):
         return self._bracket(self.require_algebra(xi), self.require_algebra(eta))
 
@@ -257,20 +282,16 @@ class LieGroup:
 
     def _ad_matrix(self, xi):
         cols = self._bracket(xi[..., None, :], np.eye(self.dim))  # [..., j, :] = [xi, e_j]
-        return np.swapaxes(cols, -1, -2)
+        return cols.swapaxes(-1, -2)
 
     def _pairing(self, xi, eta):
-        return np.einsum("...ij,...i->...j", self._ad_matrix(xi), eta)
+        return c_einsum("...ij,...i->...j", self._ad_matrix(xi), eta)
 
     def random_algebra(self, rng, shape=(), scale=1.0):
         """Gaussian algebra vectors of the given batch shape."""
         if isinstance(shape, int):
             shape = (shape,)
         return scale * rng.standard_normal(tuple(shape) + (self.dim,))
-
-    def allclose(self, g, h, tol=1e-9):
-        """Elementwise closeness in the embedding coordinates."""
-        return bool(np.max(np.abs(self.embed(g) - self.embed(h))) <= tol)
 
     def __repr__(self):
         return f"<LieGroup {self.name}>"
@@ -285,7 +306,7 @@ def _angle_terms(theta):
     """The small-angle mask, or None when no angle is below the switch; theta
     with the masked entries set to 1; and the sine and cosine of the latter."""
     small = theta < _SMALL_ANGLE
-    if not np.count_nonzero(small):     # cheaper than small.any() on a few angles
+    if not count_nonzero(small):        # cheaper than small.any() on a few angles
         return None, theta, np.sin(theta), np.cos(theta)
     safe = np.where(small, 1.0, theta)
     return small, safe, np.sin(safe), np.cos(safe)
@@ -314,7 +335,7 @@ def so3_exp(w):
     w = np.asarray(w, dtype=float)
     theta = _rotation_angle(w)
     a, b = _rodrigues_coeffs(theta, *_angle_terms(theta))
-    K = hat(w)
+    K = _hat(w)
     return _I3 + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
 
@@ -333,7 +354,7 @@ class SO3Group(LieGroup):
         return g @ h
 
     def _inverse(self, g):
-        return np.swapaxes(g, -1, -2)
+        return g.swapaxes(-1, -2)
 
     def _adjoint_matrix(self, g):
         # the rotation itself, not a copy: a contiguous copy of an inverse
@@ -518,14 +539,14 @@ class SE3Group(LieGroup):
         return g @ h
 
     def _inverse(self, g):
-        Qt = np.swapaxes(g[..., :3, :3], -1, -2)
+        Qt = g[..., :3, :3].swapaxes(-1, -2)
         return self.make(-matvec(Qt, g[..., :3, 3]), Qt)
 
     def _adjoint_matrix(self, g):
         Q = g[..., :3, :3]
         out = np.zeros(g.shape[:-2] + (6, 6))
         out[..., :3, :3] = Q
-        out[..., :3, 3:] = hat(g[..., :3, 3]) @ Q
+        out[..., :3, 3:] = _hat(g[..., :3, 3]) @ Q
         out[..., 3:, 3:] = Q
         return out
 
@@ -537,7 +558,7 @@ class SE3Group(LieGroup):
 
     def _adjoint_inv(self, g, xi):
         """(Q^T (v - r x w), Q^T w), in block form."""
-        Qt = np.swapaxes(g[..., :3, :3], -1, -2)
+        Qt = g[..., :3, :3].swapaxes(-1, -2)
         w = xi[..., 3:]
         return np.concatenate([matvec(Qt, xi[..., :3] - cross3(g[..., :3, 3], w)), matvec(Qt, w)],
                               axis=-1)
@@ -566,7 +587,7 @@ class SE3Group(LieGroup):
         if small is not None:
             c = np.where(small, 1.0 / 6.0 - theta * theta / 120.0, c)
         a, b, c = a[..., None, None], b[..., None, None], c[..., None, None]
-        K = hat(w)
+        K = _hat(w)
         KK = K @ K
         out = np.zeros(xi.shape[:-1] + (4, 4))
         out[..., :3, :3] = _I3 + a * K + b * KK

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .groups import TAU_MANIFOLD, get_group
+from .groups import TAU_MANIFOLD, c_einsum, count_nonzero, get_group
 from .controllers import ControlSetting, build_controller
 from .graphs import CommGraph
 
@@ -176,7 +176,7 @@ class Trajectory:
 def _edge_disagreement(src, dst, x):
     """sum over edges j->k of ||x_k - x_j||^2 for per-agent vectors x."""
     d = x[dst] - x[src]
-    return float(np.einsum("ei,ei->", d, d))
+    return float(c_einsum("ei,ei->", d, d))
 
 
 def metric_traces(group, g, xi, eta, graph, t, cs=None):
@@ -205,7 +205,7 @@ def metric_traces(group, g, xi, eta, graph, t, cs=None):
         out["V_k"] = np.zeros(g.shape[0])
     else:
         resid = eta - cs.project(eta)
-        out["V_k"] = 0.5 * np.einsum("ki,ki->k", resid, resid)
+        out["V_k"] = 0.5 * c_einsum("ki,ki->k", resid, resid)
     return out
 
 
@@ -262,9 +262,9 @@ def _initial_state(cfg, group, controller, rng):
 
 
 def _all_finite(x):
-    """np.isfinite(x).all(), in half the time on per-step arrays: the C-level
-    count_nonzero skips the Python wrapper of .all()."""
-    return np.count_nonzero(np.isfinite(x)) == x.size
+    """np.isfinite(x).all() as two C-level calls: the C count_nonzero that
+    groups imports skips the Python wrappers of .all() and np.count_nonzero."""
+    return count_nonzero(np.isfinite(x)) == x.size
 
 
 def _same_bits(a, b):

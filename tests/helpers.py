@@ -1,4 +1,5 @@
-"""Shared test utilities: matrix representations and finite differences.
+"""Shared test utilities: matrix representations, finite differences, and
+the comparisons and relative positions that only the tests use.
 
 These build an independent route to the group operations (homogeneous-matrix
 conjugation, numerical differentiation of matrix curves) so the library can
@@ -7,7 +8,25 @@ be checked against something it does not itself compute.
 
 import numpy as np
 
+from liecoord.graphs import GraphError
 from liecoord.groups import SE2, SE3, SO3, hat, rot2
+
+
+def allclose(group, g, h, tol=1e-9):
+    """Elementwise closeness of group elements in the embedding coordinates."""
+    return bool(np.max(np.abs(group.embed(g) - group.embed(h))) <= tol)
+
+
+def right_relative(group, g_k, g_j):
+    """Relative position g_j g_k^-1 (invariant under common right translation)."""
+    return group.compose(g_j, group.inverse(g_k))
+
+
+def in_neighbors(graph, k, t=0.0):
+    """Sorted ids of agents sending to k at time t."""
+    if not (0 <= k < graph.n):
+        raise GraphError(f"agent id {k} out of range for {graph.n} agents")
+    return sorted(j for j, kk in graph.edges_at(t) if kk == k)
 
 
 def to_matrix(group, g):

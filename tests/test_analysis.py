@@ -3,6 +3,7 @@ configurations, geometric oracles, probes."""
 
 import tracemalloc
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from liecoord.controllers import ControlSetting
 from liecoord.graphs import CommGraph
 from liecoord.groups import SE2, SE3, SO3, matvec, rot2, so3_exp, wrap_angle
 from liecoord.simulator import InitSpec, ScenarioConfig, Trajectory, metric_traces, run
+
+from helpers import right_relative
 
 E1, E2, E3 = np.eye(3)
 
@@ -123,7 +126,7 @@ def _reference_check(traj):
             i = int(np.argmax(rate))        # the first NaN, else the first maximum
             if _wins(rate[i], lam):
                 lam, lam_at = float(rate[i]), ((j, k), float(t[i + 1]))
-            values = (np.max(drift(group.right_relative, j, k)),
+            values = (np.max(drift(partial(right_relative, group), j, k)),
                       np.max(np.linalg.norm(xi_r[:, k] - xi_r[:, j], axis=-1)),
                       np.max(np.linalg.norm(xi[:, k] - xi[:, j], axis=-1)))
             rho, gap_r, gap_l = (float(v) if _wins(v, m) else m
@@ -466,7 +469,7 @@ def test_generated_configuration_two_sided_kernels():
     for j in range(4):
         for k in range(4):
             lam = SE3.left_relative(g[k], g[j])
-            rho = SE3.right_relative(g[k], g[j])
+            rho = right_relative(SE3, g[k], g[j])
             assert np.max(np.abs(SE3.adjoint(lam, xi) - xi)) < 1e-7
             assert np.max(np.abs(SE3.adjoint(rho, xi_r) - xi_r)) < 1e-7
 

@@ -20,7 +20,8 @@ from liecoord.groups import (
 from liecoord.analysis import cm_algebra_basis
 
 from helpers import (
-    adjoint_by_conjugation, fd_right_velocity, same_bits, se2_algebra_to_se3, se2_to_se3,
+    adjoint_by_conjugation, allclose, fd_right_velocity, right_relative, same_bits,
+    se2_algebra_to_se3, se2_to_se3,
 )
 
 pytestmark = pytest.mark.usefixtures("hypothesis_without_local_constants")
@@ -58,6 +59,25 @@ def test_hat_cross_identity():
     rng = np.random.default_rng(1)
     w, x = rng.standard_normal(3), rng.standard_normal(3)
     assert np.allclose(hat(w) @ x, np.cross(w, x))
+
+
+@pytest.mark.parametrize("w", [
+    [1.0, 2.0, 3.0, 4.0],           # the fourth entry was dropped
+    [1.0, 2.0],
+    5.0,
+    np.zeros((3, 2)),
+    np.zeros((4, 0)),
+], ids=["four", "two", "scalar", "3x2", "4x0"])
+def test_hat_rejects_a_wrong_trailing_shape(w):
+    with pytest.raises(GroupError, match=r"hat expects \(\.\.\., 3\) vectors"):
+        hat(w)
+
+
+def test_hat_accepts_lists_and_stacks():
+    assert np.array_equal(hat([1.0, 2.0, 3.0]), hat(np.array([1.0, 2.0, 3.0])))
+    W = np.arange(24.0).reshape(2, 4, 3)
+    assert hat(W).shape == (2, 4, 3, 3)
+    assert np.array_equal(hat(W)[1, 2], hat(W[1, 2]))
 
 
 @pytest.mark.parametrize("x_shape, y_shape", [
@@ -98,8 +118,8 @@ def test_identity_neutral(group):
     rng = rng_for(group.name)
     g = group.random(rng, 5)
     e = group.identity()
-    assert group.allclose(group.compose(e, g), g, tol=1e-12)
-    assert group.allclose(group.compose(g, e), g, tol=1e-12)
+    assert allclose(group, group.compose(e, g), g, tol=1e-12)
+    assert allclose(group, group.compose(g, e), g, tol=1e-12)
 
 
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
@@ -107,9 +127,9 @@ def test_inverse_cancels(group):
     rng = rng_for(group.name, 1)
     g = group.random(rng, 5)
     e = np.broadcast_to(group.identity(), g.shape)
-    assert group.allclose(group.compose(g, group.inverse(g)), e, tol=1e-9)
-    assert group.allclose(group.inverse(group.inverse(g)), g, tol=1e-12)
-    assert group.allclose(group.inverse(group.identity()), group.identity(), tol=0.0)
+    assert allclose(group, group.compose(g, group.inverse(g)), e, tol=1e-9)
+    assert allclose(group, group.inverse(group.inverse(g)), g, tol=1e-12)
+    assert allclose(group, group.inverse(group.identity()), group.identity(), tol=0.0)
 
 
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
@@ -118,7 +138,7 @@ def test_compose_associative(group):
     a, b, c = (group.random(rng) for _ in range(3))
     lhs = group.compose(group.compose(a, b), c)
     rhs = group.compose(a, group.compose(b, c))
-    assert group.allclose(lhs, rhs, tol=1e-12)
+    assert allclose(group, lhs, rhs, tol=1e-12)
 
 
 def test_se2_compose_inverse_closed_forms():
@@ -132,27 +152,27 @@ def test_se3_identity_base_point():
     rng = rng_for("se3-base")
     g_j = SE3.random(rng)
     lam = SE3.left_relative(SE3.identity(), g_j)
-    assert SE3.allclose(lam, g_j, tol=0.0)
+    assert allclose(SE3, lam, g_j, tol=0.0)
 
 
 def test_so3_right_relative_trivial():
     rng = rng_for("so3-rel")
     Q = SO3.random(rng)
-    assert SO3.allclose(SO3.right_relative(Q, np.eye(3)), Q.T, tol=0.0)
+    assert allclose(SO3, right_relative(SO3, Q, np.eye(3)), Q.T, tol=0.0)
 
 
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
 def test_relative_position_invariances(group):
     rng = rng_for(group.name, 3)
     g_k, g_j, h = (group.random(rng) for _ in range(3))
-    assert group.allclose(group.left_relative(g_k, g_k), group.identity(), tol=1e-12)
-    assert group.allclose(group.right_relative(g_k, g_k), group.identity(), tol=1e-12)
+    assert allclose(group, group.left_relative(g_k, g_k), group.identity(), tol=1e-12)
+    assert allclose(group, right_relative(group, g_k, g_k), group.identity(), tol=1e-12)
     lam = group.left_relative(g_k, g_j)
     lam_shifted = group.left_relative(group.compose(h, g_k), group.compose(h, g_j))
-    assert group.allclose(lam, lam_shifted, tol=1e-9)
-    rho = group.right_relative(g_k, g_j)
-    rho_shifted = group.right_relative(group.compose(g_k, h), group.compose(g_j, h))
-    assert group.allclose(rho, rho_shifted, tol=1e-9)
+    assert allclose(group, lam, lam_shifted, tol=1e-9)
+    rho = right_relative(group, g_k, g_j)
+    rho_shifted = right_relative(group, group.compose(g_k, h), group.compose(g_j, h))
+    assert allclose(group, rho, rho_shifted, tol=1e-9)
 
 
 def test_group_shape_mismatch_rejected():
@@ -347,14 +367,14 @@ def test_pairing_defining_relation(group):
 
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
 def test_exp_zero_and_flow(group):
-    assert group.allclose(group.exp(np.zeros(group.dim)), group.identity(), tol=0.0)
+    assert allclose(group, group.exp(np.zeros(group.dim)), group.identity(), tol=0.0)
     rng = rng_for(group.name, 10)
     for _ in range(50):
         xi = group.random_algebra(rng)
         once = group.exp(xi)
         twice = group.compose(once, once)
-        assert group.allclose(twice, group.exp(2.0 * xi), tol=1e-10)
-        assert group.allclose(
+        assert allclose(group, twice, group.exp(2.0 * xi), tol=1e-10)
+        assert allclose(group,
             group.compose(group.exp(0.3 * xi), group.exp(0.7 * xi)), once, tol=1e-10
         )
 
@@ -374,9 +394,9 @@ def test_exp_small_angle_fallback_consistent(group):
     d /= np.linalg.norm(d)
     xi = 1.8e-6 * d
     half = group.exp(0.5 * xi)
-    assert group.allclose(group.compose(half, half), group.exp(xi), tol=1e-13)
+    assert allclose(group, group.compose(half, half), group.exp(xi), tol=1e-13)
     tiny = group.exp(1e-9 * d)
-    assert group.allclose(tiny, group.identity(), tol=2e-9)
+    assert allclose(group, tiny, group.identity(), tol=2e-9)
     assert np.max(group.manifold_defect(group.exp(1e-7 * d))) < 1e-15
 
 
@@ -573,10 +593,10 @@ def test_group_axioms_at_extreme_angles_and_translations(group, data):
     scale = 1.0 + max(float(np.max(np.abs(group.embed(x)))) for x in (g, h, k))
     tol = 64 * np.finfo(float).eps * scale
     e = group.identity()
-    assert group.allclose(group.compose(g, e), g, tol) and group.allclose(group.compose(e, g), g, tol)
-    assert group.allclose(group.compose(g, group.inverse(g)), e, tol)
-    assert group.allclose(group.compose(group.inverse(g), g), e, tol)
-    assert group.allclose(group.compose(group.compose(g, h), k),
+    assert allclose(group, group.compose(g, e), g, tol) and allclose(group, group.compose(e, g), g, tol)
+    assert allclose(group, group.compose(g, group.inverse(g)), e, tol)
+    assert allclose(group, group.compose(group.inverse(g), g), e, tol)
+    assert allclose(group, group.compose(group.compose(g, h), k),
                           group.compose(g, group.compose(h, k)), tol)
     Ad = group.adjoint_matrix
     assert np.max(np.abs(Ad(group.compose(g, h)) - Ad(g) @ Ad(h))) <= tol
@@ -585,7 +605,7 @@ def test_group_axioms_at_extreme_angles_and_translations(group, data):
     big = max(1.0, float(np.max(np.abs(xi))))
     closed = theta[theta >= _SWITCH]
     cond = 1.0 / min(1.0, float(np.min(closed))) if closed.size else 1.0
-    assert group.allclose(group.compose(group.exp(xi), group.exp(-xi)), e,
+    assert allclose(group, group.compose(group.exp(xi), group.exp(-xi)), e,
                           64 * np.finfo(float).eps * big * cond)
     assert np.max(group.manifold_defect(group.exp(xi))) < 1e-12
 
@@ -656,14 +676,14 @@ def test_reproject_perturbed_rotation(group):
         noisy[..., 3, :] = np.array([0.0, 0.0, 0.0, 1.0])
     fixed = group.reproject(noisy)
     assert np.max(group.manifold_defect(fixed)) < 1e-12
-    assert group.allclose(group.reproject(fixed), fixed, tol=1e-14)
+    assert allclose(group, group.reproject(fixed), fixed, tol=1e-14)
 
 
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
 def test_reproject_idempotent_on_exact(group):
     rng = rng_for(group.name, 15)
     g = group.random(rng, 4)
-    assert group.allclose(group.reproject(g), g, tol=1e-14)
+    assert allclose(group, group.reproject(g), g, tol=1e-14)
 
 
 def test_manifold_check_raises_off_manifold():
@@ -726,7 +746,7 @@ def test_payload_round_trip(group):
     rng = rng_for(group.name, 19)
     g = group.random(rng, 6)
     back = group.from_payload(group.to_payload(g))
-    assert group.allclose(back, g, tol=1e-15)
+    assert allclose(group, back, g, tol=1e-15)
     assert len(group.payload_columns) == group.to_payload(g).shape[-1]
 
 

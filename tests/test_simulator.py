@@ -401,10 +401,14 @@ def test_first_order_convergence_of_lie_euler():
 # calls per step
 # ---------------------------------------------------------------------------
 
+_NUMPY_DIR = str(Path(np.__file__).parent)
+
+
 def _calls_per_step(cfg, steps=(100, 300)):
-    """Python calls, C calls and require_element/require_algebra calls per
-    step of run, from two runs that differ only in length, so that the
-    set-up cancels.  The run before them does the first-call work."""
+    """Python calls, C calls, require_element/require_algebra calls and
+    Python calls into numpy's own modules per step of run, from two runs that
+    differ only in length, so that the set-up cancels.  The run before them
+    does the first-call work."""
     run(replace(cfg, t_end=steps[0] * cfg.h))
     counts = []
     for n in steps:
@@ -412,8 +416,12 @@ def _calls_per_step(cfg, steps=(100, 300)):
 
         def count(frame, event, arg):
             c[event] += 1
-            if event == "call" and frame.f_code.co_name in ("require_element", "require_algebra"):
-                c["require"] += 1
+            if event == "call":
+                code = frame.f_code
+                if code.co_name in ("require_element", "require_algebra"):
+                    c["require"] += 1
+                if code.co_filename.startswith(_NUMPY_DIR):
+                    c["numpy"] += 1
 
         sys.setprofile(count)
         try:
@@ -422,31 +430,33 @@ def _calls_per_step(cfg, steps=(100, 300)):
             sys.setprofile(None)
         counts.append(c)
     return tuple((counts[1][k] - counts[0][k]) / (steps[1] - steps[0])
-                 for k in ("call", "c_call", "require"))
+                 for k in ("call", "c_call", "require", "numpy"))
 
 
 def _scenario_file(name):
     return parse_scenario(str(Path(__file__).parents[1] / "scenarios" / f"{name}.ini"))
 
 
-@pytest.mark.parametrize("make_cfg, python_calls, c_calls", [
-    pytest.param(lambda: _scenario_file("se3_steering_linear"), 73.63, 22.01,
+@pytest.mark.parametrize("make_cfg, python_calls, c_calls, numpy_calls", [
+    pytest.param(lambda: _scenario_file("se3_steering_linear"), 38.6, 22.1, 4.98,
                  id="se3_steering_linear-4"),
-    pytest.param(lambda: _scenario_file("se3_steering_helical"), 88.53, 31.01,
+    pytest.param(lambda: _scenario_file("se3_steering_helical"), 41.7, 26.15, 0.98,
                  id="se3_steering_helical-4"),
     pytest.param(lambda: _cfg(group="so3", controller="tc_left_cascade",
-                              graph=CommGraph.complete(3), h=2e-3, record_every=100), 53.3, 14.6,
-                 id="so3-tc_left_cascade-complete3"),
+                              graph=CommGraph.complete(3), h=2e-3, record_every=100),
+                 31.81, 13.59, 0.48, id="so3-tc_left_cascade-complete3"),
     pytest.param(lambda: _cfg(group="se3", n_agents=16, controller="lic_consensus",
-                              graph=CommGraph.ring(16)), 77.08, 21.56,
+                              graph=CommGraph.ring(16)), 34.65, 21.65, 3.28,
                  id="se3-lic_consensus-ring16"),
 ])
-def test_calls_per_step_are_pinned(make_cfg, python_calls, c_calls):
+def test_calls_per_step_are_pinned(make_cfg, python_calls, c_calls, numpy_calls):
     """At a few agents a step costs what its calls cost.  A change that raises
-    a count must update it here; the loop calls the unchecked group kernels."""
-    calls, c, require = _calls_per_step(make_cfg())
+    a count must update it here; the loop calls the unchecked group kernels,
+    and numpy at C level, so that a Python-level numpy wrapper that comes back
+    into the step raises numpy_calls."""
+    calls, c, require, in_numpy = _calls_per_step(make_cfg())
     assert require == 0
-    assert (calls, c) == (python_calls, c_calls)
+    assert (calls, c, in_numpy) == (python_calls, c_calls, numpy_calls)
 
 
 # ---------------------------------------------------------------------------
