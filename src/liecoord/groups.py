@@ -43,16 +43,13 @@ rows Ad_lambda - Id of analysis.compatible_velocities.
 
 In the kernels a step calls, each numpy operation is one call into numpy's C
 code.  On the few agents of a steering or basin step a call costs what its
-Python-level wrapper costs, not what its arithmetic costs: on a 3-agent array
-np.einsum takes about 2.4 us and its callee c_einsum 1.5 us; np.count_nonzero
-0.55 us and its C count_nonzero 0.12 us; np.swapaxes 1.1 us and the method
-.swapaxes 0.17 us (numpy 2.4, Python 3.11, one core of a Xeon).  So matvec
-calls c_einsum, the finiteness and small-angle tests call the C count_nonzero,
-the two imported here once from numpy._core.multiarray (numpy 2.0 on),
-transposes are the array method, and cross3 gathers its operands rather than
-slicing each column.  Each gives the same bits as the public form: np.einsum
-without optimize and np.count_nonzero with axis None are these two calls after
-their Python-level dispatch.
+Python-level wrapper costs, not what its arithmetic costs.  So matvec calls
+c_einsum, the finiteness and small-angle tests call the C count_nonzero, the
+two imported here once from numpy._core.multiarray (numpy 2.0 on), transposes
+are the array method, and cross3 gathers its operands rather than slicing each
+column.  Each gives the same bits as the public form: np.einsum without
+optimize and np.count_nonzero with axis None are these two calls after their
+Python-level dispatch.
 """
 
 import numpy as np
@@ -64,10 +61,9 @@ _SMALL_ANGLE = 1e-6
 _I3 = np.eye(3)
 # positions of r and of Q row by row in a flattened 4x4 SE(3) matrix
 _SE3_EMBED_ORDER = np.array([3, 7, 11, 0, 1, 2, 4, 5, 6, 8, 9, 10])
-# the gathers of cross3, and the operand entries up to which it gathers by take
+# the gathers of cross3
 _CROSS_X = np.array([1, 2, 0, 2, 0, 1])
 _CROSS_Y = np.array([2, 0, 1, 1, 2, 0])
-_TAKE_ENTRIES = 192
 
 
 class GroupError(ValueError):
@@ -87,17 +83,14 @@ def cross3(x, y):
     moveaxis and axis normalisation rather than in the six products.  The
     operands are gathered as (x1, x2, x0, x2, x0, x1) and (y2, y0, y1, y1, y2,
     y0), so that one product and one difference give all three components.
-    Small operands are gathered with .take, which is cheaper per call; larger
-    ones by indexing, which is cheaper per entry (the two cross between 30 and
-    45 agents of (N, 3) operands on numpy 2.4).  Both copy the same entries,
-    and the product is laid out in C order either way (indexing puts the
-    gathered axis first in memory), so the result does not depend on which one
-    ran: a contraction that reads it sums in an order set by its layout.
+    The gathers are .take with mode="clip": the indices are in range, so it
+    copies the same entries as the default mode, which checks each index for
+    each row and so is slower on many agents.  Its output is C-contiguous, as
+    the sliced form's was, so a contraction that reads the result sums in the
+    same order.  Fancy indexing costs more per call on a few agents, and puts
+    the gathered axis first in memory.
     """
-    if x.size + y.size <= _TAKE_ENTRIES:
-        p = x.take(_CROSS_X, -1) * y.take(_CROSS_Y, -1)
-    else:
-        p = np.multiply(x[..., _CROSS_X], y[..., _CROSS_Y], order="C")
+    p = x.take(_CROSS_X, -1, mode="clip") * y.take(_CROSS_Y, -1, mode="clip")
     return p[..., :3] - p[..., 3:]
 
 
