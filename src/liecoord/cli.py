@@ -73,17 +73,14 @@ def load_run(run_dir):
     samples, and one without metrics.csv has no metrics."""
     run_dir = Path(run_dir)
     manifest = simulator.read_manifest(run_dir / "manifest.txt")
+    times, g, xi, aux = simulator.read_trajectory_csv(
+        run_dir / "trajectory.csv", manifest["group"], manifest.get("agents")
+    )
     try:
-        # before the trajectory, so that its small arrays do not split the block
-        # the parsed trajectory rows free (read after, they raised the peak RSS
-        # of a 256-agent run, export and reload by 4.7 MB)
         metric_times, metrics = simulator.read_metrics_csv(run_dir / "metrics.csv",
                                                            manifest.get("agents"))
     except FileNotFoundError:
         metric_times, metrics = None, {}
-    times, g, xi, aux = simulator.read_trajectory_csv(
-        run_dir / "trajectory.csv", manifest["group"], manifest.get("agents")
-    )
     if metric_times is not None and metric_times.tobytes() != times.tobytes():
         raise ConfigError("metrics times differ from the trajectory's")
     return Trajectory(

@@ -178,7 +178,7 @@ class LieGroup:
     unchecked kernels ``_compose``, ``_inverse``, ``_adjoint_matrix``,
     ``_bracket``, ``_exp``, ``_reproject``, ``_manifold_defect`` and ``_embed``
     (continuous embedding coordinates, used for drift measurements), and the
-    CSV payload: ``payload_columns``, ``to_payload`` and ``from_payload``.
+    CSV payload: ``payload_columns``, ``from_payload`` and, if not ``embed``, ``to_payload``.
     Everything else is derived here.
     """
 
@@ -265,6 +265,9 @@ class LieGroup:
     def embed(self, g):
         return self._embed(self.require_element(g))
 
+    def to_payload(self, g):
+        return self.embed(g)
+
     # -- kernels derived from the primitive ones ----------------------------------
 
     def _adjoint(self, g, xi):
@@ -323,15 +326,6 @@ def _rodrigues_coeffs(theta, small, safe, sin, cos):
     return _sinc(theta, small, safe, sin), b
 
 
-def so3_exp(w):
-    """Rodrigues formula, batched over leading axes."""
-    w = np.asarray(w, dtype=float)
-    theta = _rotation_angle(w)
-    a, b = _rodrigues_coeffs(theta, *_angle_terms(theta))
-    K = _hat(w)
-    return _I3 + a[..., None, None] * K + b[..., None, None] * (K @ K)
-
-
 class SO3Group(LieGroup):
     """Rotations of 3-space as 3x3 matrices; Ad_Q w = Q w, [u, w] = u x w."""
 
@@ -362,7 +356,11 @@ class SO3Group(LieGroup):
         return -cross3(xi, eta)
 
     def _exp(self, xi):
-        return so3_exp(xi)
+        """Rodrigues formula, batched over leading axes."""
+        theta = _rotation_angle(xi)
+        a, b = _rodrigues_coeffs(theta, *_angle_terms(theta))
+        K = _hat(xi)
+        return _I3 + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
     def _reproject(self, g):
         return polar_rotation(g)
@@ -383,13 +381,10 @@ class SO3Group(LieGroup):
             Q = Q.copy()
             Q[..., :, 2] *= np.where(d < 0.0, -1.0, 1.0)[..., None]
             return Q
-        return so3_exp(rot_scale * rng.standard_normal(shape + (3,)))
+        return self._exp(rot_scale * rng.standard_normal(shape + (3,)))
 
     def _embed(self, g):
         return g.reshape(g.shape[:-2] + (9,))
-
-    def to_payload(self, g):
-        return self.embed(g)
 
     def from_payload(self, arr):
         arr = np.asarray(arr, dtype=float)
@@ -606,9 +601,6 @@ class SE3Group(LieGroup):
         flattened matrix."""
         return np.take(g.reshape(g.shape[:-2] + (16,)), _SE3_EMBED_ORDER, axis=-1)
 
-    def to_payload(self, g):
-        return self.embed(g)
-
     def from_payload(self, arr):
         arr = np.asarray(arr, dtype=float)
         Q = arr[..., 3:].reshape(arr.shape[:-1] + (3, 3))
@@ -616,6 +608,7 @@ class SE3Group(LieGroup):
 
 
 SO3 = SO3Group()
+so3_exp = SO3.exp        # checked SO3._exp, for callers outside the loop
 SE2 = SE2Group()
 SE3 = SE3Group()
 

@@ -29,6 +29,7 @@ a reload holds arrays of its own, not views of the parsed text.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -411,41 +412,47 @@ def aux_columns(aux):
     return cols
 
 
-def _write_csv(path, header, rows, int_col=None):
-    """Write a header line and the rows of a 2-D array: "%.17g" per value,
-    "%d" in column int_col, CSV_BLOCK_ROWS rows per format call."""
-    fmt = ["%.17g"] * len(header)
-    if int_col is not None:
-        fmt[int_col] = "%d"
-    line = ",".join(fmt) + "\n"
+def _write_rows(path, header, cells, tails, pasted=None):
+    """Write a header line and snapshots of len(tails) rows, whole snapshots
+    and about CSV_BLOCK_ROWS rows per %-format call, which bounds the Python
+    floats and text alive at a time.  Row s of cells is snapshot s: its time,
+    formatted once and copied to each of its rows, then its rows' values.
+    tails[j] is the text of row j after the time, with "%.17g" per value.
+    Each row of pasted (None, or an (S, len(tails), m) array) is formatted once
+    more, by one call per block, and goes in for each "\\x01" of its tail."""
+    per = max(1, CSV_BLOCK_ROWS // len(tails))
+    # "\0" starts a snapshot, and "\x02" stands for its time in its later rows
+    parts = [t.split("\x01") for t in ["\0%.17g" + tails[0], *("\x02" + t for t in tails[1:])]]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for lo in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[lo:lo + CSV_BLOCK_ROWS]
-            f.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for lo in range(0, len(cells), per):
+            block = cells[lo:lo + per]
+            texts = itertools.repeat("", len(block) * len(tails))
+            if pasted is not None:
+                rows = pasted[lo:lo + per].reshape(-1, pasted.shape[-1])
+                line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+                texts = (line * len(rows) % tuple(rows.ravel().tolist())).split("\n")[:-1]
+            template = "".join(map(str.join, texts, itertools.cycle(parts)))
+            for snapshot in (template % tuple(block.ravel().tolist())).split("\0")[1:]:
+                f.write(snapshot.replace("\x02", snapshot[:snapshot.index(",")]))
 
 
 def write_trajectory_csv(traj, path):
     """One row per agent and snapshot, snapshot by snapshot with agent ids
-    0..N-1 in order: t, agent, pose payload, xi, aux.
-
-    The rows are formatted CSV_BLOCK_ROWS at a time, one %-format call per
-    block.  Blocks bound the memory: besides the (S*N, columns) float array,
-    only one block's Python floats and text (a few hundred kB) exist at a
-    time, not the whole file (26 MB of text and 1.3M floats for 256 agents
-    and 201 samples).  Larger blocks format no faster and hold more memory.
-    """
+    0..N-1 in order: t, agent, pose payload, xi, aux; "%.17g" per value.  t is
+    formatted once per snapshot, the ids once per file, and an aux field that
+    is traj.xi (a velocity law's aux xi) takes xi's text: a 256-agent SE(3)
+    lic_consensus row formats 18 values, not 24."""
     group = traj.group
     s, n = len(traj.times), traj.n_agents
     header = (["t", "agent"] + list(group.payload_columns)
               + [f"xi{i}" for i in range(group.dim)] + aux_columns(traj.aux))
-    rows = np.concatenate(
-        [np.broadcast_to(traj.times[:, None, None], (s, n, 1)),
-         np.broadcast_to(np.arange(n, dtype=float)[None, :, None], (s, n, 1)),
-         group.to_payload(traj.g), traj.xi, *traj.aux.values()],
-        axis=-1, dtype=float,
-    )
-    _write_csv(path, header, rows.reshape(s * n, len(header)), int_col=1)
+    fields = (group.to_payload(traj.g), traj.xi, *traj.aux.values())
+    pasted = traj.xi if any(v is traj.xi for v in traj.aux.values()) else None
+    tail = "".join(",\x01" if v is pasted else ",%.17g" * v.shape[-1] for v in fields)
+    body = np.concatenate([v for v in fields if v is not pasted], axis=-1, dtype=float)
+    cells = np.column_stack([traj.times, body.reshape(s, n * body.shape[-1])])
+    _write_rows(path, header, cells, [f",{k}{tail}\n" for k in range(n)], pasted)
 
 
 def _metrics_header(n_agents):
@@ -454,9 +461,8 @@ def _metrics_header(n_agents):
 
 def write_metrics_csv(traj, path):
     header = _metrics_header(traj.n_agents)
-    rows = np.column_stack([traj.times] + [traj.metrics[name] for name in METRIC_NAMES]
-                           + [traj.metrics["V_k"]])
-    _write_csv(path, header, rows)
+    cells = np.column_stack([traj.times, *map(traj.metrics.get, METRIC_NAMES), traj.metrics["V_k"]])
+    _write_rows(path, header, cells, [",%.17g" * (len(header) - 1) + "\n"])
 
 
 def write_manifest(traj, path):
@@ -496,17 +502,19 @@ _AUX_COLUMN = re.compile(r"^aux\.(.*?)\d+$")
 
 def _read_csv(path, what):
     """The header cells and the rows (a 2-D float array) of a CSV file; "#"
-    starts no comment, so a line or cell holding one is a malformed row."""
-    with open(path) as f:
-        with warnings.catch_warnings():
-            # a file without rows is reported by the callers
-            warnings.simplefilter("ignore", UserWarning)
-            try:
+    starts no comment, so a line or cell holding one is a malformed row.
+    numpy gets the path, which it reads in blocks at C level, and skips the
+    header line: an open handle it would iterate line by line in Python."""
+    with warnings.catch_warnings():
+        # a file without rows is reported by the callers
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            with open(path) as f:
                 header = f.readline().rstrip("\n").split(",")
-                return header, np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
-            except ValueError as e:
-                # a truncated row, a value that is not a number, or bytes that are not text
-                raise ConfigError(f"malformed {what} row: {e}") from e
+            return header, np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
+        except ValueError as e:
+            # a truncated row, a value that is not a number, or bytes that are not text
+            raise ConfigError(f"malformed {what} row: {e}") from e
 
 
 def read_trajectory_csv(path, group_name, n_agents=None):

@@ -73,6 +73,17 @@ def test_hat_rejects_a_wrong_trailing_shape(w):
         hat(w)
 
 
+@pytest.mark.parametrize("w", [
+    [0.1, 0.2, 0.3, 0.4],           # was a matrix off the manifold
+    [1.0, 2.0],                     # was a raw IndexError
+    5.0,
+    np.zeros((3, 2)),
+], ids=["four", "two", "scalar", "3x2"])
+def test_so3_exp_rejects_a_wrong_trailing_shape(w):
+    with pytest.raises(GroupError, match="so3: expected algebra vector of length 3"):
+        so3_exp(w)
+
+
 def test_hat_accepts_lists_and_stacks():
     assert np.array_equal(hat([1.0, 2.0, 3.0]), hat(np.array([1.0, 2.0, 3.0])))
     W = np.arange(24.0).reshape(2, 4, 3)
