@@ -8,12 +8,13 @@ converged runs.  Each of the four maxima over agent pairs is found by bound
 and select.  Per-agent quantities of the window (rotation-block and
 translation rates, the size of each block, each velocity's distance from the
 sample centroid) give every pair an O(1) upper bound, rounding included.
-Pairs are then evaluated exactly, in chunks of PAIR_CHUNK in descending bound
-order, until the next bound falls below the running maximum; a window with a
-non-finite value makes every pair a candidate.  An evaluated value is
-computed as by a loop over all pairs (the same gathers, compose, embed and
-norms), so the report equals that loop's field for field, its worst pair and
-time included.  Each agent's inverse is computed once per check.
+The largest value of the PAIR_CHUNK pairs of largest bound is a floor, and
+the pairs whose bound is not below it are evaluated exactly, in chunks of
+PAIR_CHUNK in pair order; a window with a non-finite value, or a NaN floor,
+makes every pair a candidate.  A value is computed as by a loop over all
+pairs (the same gathers, compose, embed and norms), in that loop's order, so
+the report equals that loop's field for field, its worst pair and time
+included.  Each agent's inverse is computed once per check.
 """
 
 from __future__ import annotations
@@ -84,47 +85,26 @@ class CoordinationReport:
         )
 
 
-class _PairMax:
-    """Running maximum of per-pair values over chunks of agent pairs, with the
-    pair (its index in np.triu_indices order) and the sample where it occurs.
-    The largest value wins, then the earliest pair, then the earliest sample,
-    in whatever order the chunks come.  A NaN wins, so a trajectory with
-    non-finite values never reads as coordinated; a maximum of 0 names no pair."""
-
-    def __init__(self):
-        self.value, self.pair, self.sample = 0.0, None, None
-
-    def _beats(self, v, p):
-        if np.isnan(self.value):
-            return np.isnan(v) and p < self.pair
-        if np.isnan(v):
-            return True
-        return v > self.value or (v == self.value and self.pair is not None and p < self.pair)
-
-    def update(self, r, pairs):
-        """r: (S, P) values of the pairs numbered pairs."""
-        peak = np.max(r, axis=0)
-        top = np.isnan(peak)
-        if not top.any():
-            top = peak == np.max(peak)
-        p = np.flatnonzero(top)[np.argmin(pairs[top])]
-        if self._beats(float(peak[p]), int(pairs[p])):
-            self.value, self.pair, self.sample = float(peak[p]), int(pairs[p]), int(np.argmax(r[:, p]))
-
-
 def _select(bound, values):
-    """Maximum of values(pairs) over every pair, evaluating only the pairs
-    whose upper bound reaches the running maximum: chunks of PAIR_CHUNK pairs
-    in descending bound order, until a chunk starts below the maximum."""
-    best = _PairMax()
-    order = np.argsort(-bound)
-    for lo in range(0, len(order), PAIR_CHUNK):
-        pairs = order[lo:lo + PAIR_CHUNK]
-        pairs = pairs[~(bound[pairs] < best.value)]    # all of them while the maximum is NaN
-        if not len(pairs):
-            break
-        best.update(values(pairs), pairs)
-    return best
+    """Maximum of values(pairs) over every pair, with the pair (its index in
+    np.triu_indices order) and the sample where it occurs.  The floor is the
+    largest value of the PAIR_CHUNK pairs of largest bound, if there are more
+    pairs; the pairs whose bound is not below it come in pair order, so the
+    first largest value wins, or the first NaN, as in a loop over all pairs.
+    A maximum of 0 names no pair."""
+    floor = -np.inf
+    if len(bound) > PAIR_CHUNK:
+        floor = np.max(values(np.argpartition(bound, -PAIR_CHUNK)[-PAIR_CHUNK:]))
+    candidates = np.flatnonzero(~(bound < floor))
+    best, pair, sample = 0.0, None, None
+    for lo in range(0, len(candidates), PAIR_CHUNK):
+        pairs = candidates[lo:lo + PAIR_CHUNK]
+        r = values(pairs)
+        peak = np.max(r, axis=0)
+        p = np.argmax(peak)         # the first NaN, else the first maximum
+        if peak[p] > best or (np.isnan(peak[p]) and not np.isnan(best)):
+            best, pair, sample = float(peak[p]), int(pairs[p]), int(np.argmax(r[:, p]))
+    return best, pair, sample
 
 
 def _blocks(group, g):
@@ -207,6 +187,10 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
     mode = mode.lower()
     if mode not in ("lic", "ric", "tc"):
         raise AnalysisError(f"unknown coordination mode {mode!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise AnalysisError(f"tol: must be finite and > 0, not {tol!r}")
+    if np.isnan(window):
+        raise AnalysisError("window: must be a number of time units, not nan")
     group = traj.group
     times = traj.times
     if not len(times):
@@ -232,13 +216,13 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
     def gap(x):
         return lambda p: np.linalg.norm(x[:, k[p]] - x[:, j[p]], axis=-1)
 
-    lam, rho, gap_r, gap_l = (_select(u, f) for u, f in zip(bounds, (
-        lambda p: _drift(group.embed(group.compose(g_inv[:, k[p]], g[:, j[p]])), dt),  # g_k^-1 g_j
-        lambda p: _drift(group.embed(group.compose(g[:, j[p]], g_inv[:, k[p]])), dt),  # g_j g_k^-1
-        gap(xi_r), gap(xi))))
-    lam_pair = None if lam.pair is None else (int(j[lam.pair]), int(k[lam.pair]))
-    lam_t = None if lam.pair is None else float(t_win[lam.sample + 1])
-    lam, rho, xi_r_gap, xi_l_gap = (m.value for m in (lam, rho, gap_r, gap_l))
+    (lam, worst, at), (rho, _, _), (xi_r_gap, _, _), (xi_l_gap, _, _) = (
+        _select(u, f) for u, f in zip(bounds, (
+            lambda p: _drift(group.embed(group.compose(g_inv[:, k[p]], g[:, j[p]])), dt),  # g_k^-1 g_j
+            lambda p: _drift(group.embed(group.compose(g[:, j[p]], g_inv[:, k[p]])), dt),  # g_j g_k^-1
+            gap(xi_r), gap(xi))))
+    lam_pair = None if worst is None else (int(j[worst]), int(k[worst]))
+    lam_t = None if worst is None else float(t_win[at + 1])
 
     achieved = {
         "lic": lam < tol,

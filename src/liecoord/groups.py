@@ -45,15 +45,15 @@ In the kernels a step calls, each numpy operation is one call into numpy's C
 code.  On the few agents of a steering or basin step a call costs what its
 Python-level wrapper costs, not what its arithmetic costs.  So matvec calls
 c_einsum, the finiteness and small-angle tests call the C count_nonzero, the
-two imported here once from numpy._core.multiarray (numpy 2.0 on), transposes
-are the array method, and cross3 gathers its operands rather than slicing each
-column.  Each gives the same bits as the public form: np.einsum without
-optimize and np.count_nonzero with axis None are these two calls after their
-Python-level dispatch.
+small-angle selects call the C where (c_where), all three imported once from
+numpy._core._multiarray_umath (numpy 2.0 on), transposes are the array method,
+and cross3 gathers its operands rather than slicing each column.  Each gives
+the same bits as the public form: np.einsum without optimize, np.count_nonzero
+with axis None and np.where are these calls after their Python-level dispatch.
 """
 
 import numpy as np
-from numpy._core.multiarray import c_einsum, count_nonzero
+from numpy._core._multiarray_umath import c_einsum, count_nonzero, where as c_where
 
 # Tolerance for manifold-constraint checks (e.g. Q^T Q = I on rotation blocks).
 TAU_MANIFOLD = 1e-9
@@ -304,7 +304,7 @@ def _angle_terms(theta):
     small = theta < _SMALL_ANGLE
     if not count_nonzero(small):        # cheaper than small.any() on a few angles
         return None, theta, np.sin(theta), np.cos(theta)
-    safe = np.where(small, 1.0, theta)
+    safe = c_where(small, 1.0, theta)
     return small, safe, np.sin(safe), np.cos(safe)
 
 
@@ -313,7 +313,7 @@ def _sinc(theta, small, safe, sin):
     a = sin / safe
     if small is not None:
         t2 = theta * theta
-        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, a)
+        a = c_where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, a)
     return a
 
 
@@ -322,7 +322,7 @@ def _rodrigues_coeffs(theta, small, safe, sin, cos):
     b = (1.0 - cos) / (safe * safe)
     if small is not None:
         t2 = theta * theta
-        b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, b)
+        b = c_where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, b)
     return _sinc(theta, small, safe, sin), b
 
 
@@ -449,10 +449,10 @@ class SE2Group(LieGroup):
         small, safe_w, sin, cos = _angle_terms(w)
         a = _sinc(w, small, safe_w, sin)
         # cos is even, so the cosine of |theta| serves for (1 - cos theta) / theta
-        safe = theta if small is None else np.where(small, 1.0, theta)
+        safe = theta if small is None else c_where(small, 1.0, theta)
         b = (1.0 - cos) / safe
         if small is not None:
-            b = np.where(small, theta / 2.0 - theta * (theta * theta) / 24.0, b)
+            b = c_where(small, theta / 2.0 - theta * (theta * theta) / 24.0, b)
         A = np.empty(xi.shape[:-1] + (2, 2))
         A[..., 0, 0] = a
         A[..., 0, 1] = -b
@@ -573,7 +573,7 @@ class SE3Group(LieGroup):
         a, b = _rodrigues_coeffs(theta, *terms)
         c = (safe - sin) / (safe ** 3)
         if small is not None:
-            c = np.where(small, 1.0 / 6.0 - theta * theta / 120.0, c)
+            c = c_where(small, 1.0 / 6.0 - theta * theta / 120.0, c)
         a, b, c = a[..., None, None], b[..., None, None], c[..., None, None]
         K = _hat(w)
         KK = K @ K

@@ -78,7 +78,7 @@ class InitSpec:
     pos_scale: float = 2.0
     rot_scale: float | None = None
     aux_scale: float = 1.0
-    g0: np.ndarray | None = None
+    g0: np.ndarray | None = None  # with kind "explicit" only
     aux0: dict[str, np.ndarray] | None = None
 
 
@@ -246,6 +246,8 @@ def _initial_state(cfg, group, controller, rng):
             raise ConfigError("init: explicit initial state needs g0")
         g0 = group.require_element(np.asarray(init.g0, dtype=float))
     elif init.kind == "random":
+        if init.g0 is not None:
+            raise ConfigError("init: g0 needs kind = explicit")
         g0 = group.random(rng, cfg.n_agents, pos_scale=init.pos_scale, rot_scale=init.rot_scale)
     else:
         raise ConfigError(f"init: unknown kind {init.kind!r}")

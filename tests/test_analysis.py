@@ -80,6 +80,24 @@ def test_coordination_window_too_short():
         check_coordination(traj, "lic", window=1e-4)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1e-3, 0.0, np.inf])
+def test_check_rejects_a_tol_that_decides_nothing(tol):
+    # NaN or negative would read as never achieved, inf as always
+    rng = np.random.default_rng(2)
+    traj = run(_open_loop_cfg("se2", SE2.random(rng, 2), np.zeros(3), t_end=1.0))
+    with pytest.raises(AnalysisError, match="tol: must be finite and > 0"):
+        check_coordination(traj, "lic", tol=tol)
+
+
+def test_check_names_a_nan_window_and_takes_an_infinite_one():
+    rng = np.random.default_rng(2)
+    traj = run(_open_loop_cfg("se2", SE2.random(rng, 2), np.zeros(3), t_end=1.0))
+    with pytest.raises(AnalysisError, match="window: must be a number"):
+        check_coordination(traj, "lic", window=np.nan)
+    whole = check_coordination(traj, "lic", window=np.inf)
+    assert whole.achieved and whole.lambda_drift == 0.0
+
+
 def test_coordination_criteria_agree_on_random_runs():
     # drift criterion vs velocity criterion over a battery of runs
     for seed in range(6):
@@ -312,6 +330,31 @@ def test_check_never_passes_a_non_finite_trajectory():
     rep = check_coordination(_recorded(SO3, g, np.zeros((5, 3, 3)), times), "lic", window=1.0)
     assert np.isnan(rep.lambda_drift)
     assert not rep.achieved
+
+
+def test_check_of_se3_with_bottom_rows_off_equals_the_per_pair_loop():
+    # bottom rows off (0, 0, 0, 1) leave no pair bound: every pair is a candidate
+    traj = _random_recorded(SE3, 70, samples=6, seed=4)
+    traj.g[..., 3, :] += 1e-3 * np.random.default_rng(4).standard_normal(traj.g[..., 3, :].shape)
+    lam, (pair, t), rho, gap_r, gap_l = _reference_check(traj)
+    for chunk in (PAIR_CHUNK, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "PAIR_CHUNK", chunk)
+            rep = check_coordination(traj, "lic", window=1.0)
+        assert (rep.lambda_drift, rep.rho_drift) == (lam, rho)
+        assert (rep.xi_r_disagreement, rep.xi_l_disagreement) == (gap_r, gap_l)
+        assert rep.lambda_pair == pair and rep.lambda_time == t
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_coordination(_random_recorded(SE2, 2, 3, 0), "xyz"), "unknown coordination mode"),
+    (lambda: generate_tc_configuration(SO3, E3, 0, np.random.default_rng(0)), "at least one agent"),
+    (lambda: tc_basin_probe(graph_kind="star", trials=1), "unknown graph kind 'star'"),
+    (lambda: so3_anti_aligned_state(3), "even agent count"),
+], ids=["mode", "no-agents", "graph-kind", "odd-count"])
+def test_analysis_input_errors_are_typed(call, message):
+    with pytest.raises(AnalysisError, match=message):
+        call()
 
 
 def test_check_memory_is_bounded_at_256_agents():

@@ -165,6 +165,25 @@ def test_parse_explicit_init_and_aux(tmp_path):
     assert np.allclose(cfg.controller_params["xi"], [1.0, 0.0, 0.7])
 
 
+EXPLICIT_POSES = MINIMAL + "\n[init]\nkind = explicit\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (EXPLICIT_POSES + "pose_0 = 0 0 0\npose_1 = 0 0 0\n", "pose_1 is beyond pose_0"),
+    (MINIMAL + "colour = red\n", "graph: unknown keys"),
+    (MINIMAL.replace("kind = empty", "kind = edges\nedges = 0>7"), "graph: edge 0->7 out of range"),
+    (MINIMAL + "\n[control]\nfoo = 1\n", "control: unknown keys"),
+    (EXPLICIT_POSES + "pose_0 = 0 0\n", "pose rows need 3 numbers"),
+    ("[graph]\nkind = empty\n", r"missing \[scenario\] section"),
+    (None, "cannot read scenario file"),
+], ids=["pose-beyond-n", "graph-key", "graph-error", "control-key", "pose-width",
+        "no-scenario-section", "no-file"])
+def test_scenario_errors_are_typed(tmp_path, text, message):
+    path = str(tmp_path / "absent.ini") if text is None else _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=message):
+        parse_scenario(path)
+
+
 def test_parse_bundled_scenarios():
     for name in ("se2_single_rest", "so3_tc_cascade",
                  "se3_steering_linear", "se3_steering_helical"):
@@ -307,6 +326,15 @@ xi = 1.0 0.0 0.0
     assert cli.main(["run", frozen, "--out", str(out2)]) == 0
     assert cli.main(["check", str(out2), "--mode", "ric"]) == 0
     assert cli.main(["check", str(out2), "--mode", "tc"]) == 0
+
+
+@pytest.mark.parametrize("arg", ["--tol=nan", "--tol=inf", "--tol=-1e-3", "--window=nan"])
+def test_cmd_check_without_an_answerable_question_exits_with_usage(tmp_path, capsys, arg):
+    out = tmp_path / "run"
+    assert cli.main(["run", "scenarios/se2_single_rest.ini", "--t-end", "0.5",
+                     "--out", str(out)]) == 0
+    assert cli.main(["check", str(out), "--mode", "lic", arg]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: " + arg[2:].partition("=")[0])
 
 
 def test_cmd_check_missing_files(tmp_path, capsys):

@@ -921,3 +921,29 @@ def _check_stacked_batch(ctrl, group):
         assert out.events == events
         all_events += events
     return all_events
+
+
+# ---------------------------------------------------------------------------
+# typed input errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ControlSetting(np.array([np.nan, 0.0, 0.0]), np.eye(3)), "must be finite"),
+    (lambda: compatibility_check(SO3, SO3.identity_like(2), ControlSetting.fully(3),
+                                 mode="ric"),
+     "unknown mode 'ric'"),
+    (lambda: build_controller("ric_consensus", SE2).validate_initial(SE2.identity_like(3), {}),
+     "missing auxiliary state 'xi'"),
+    (lambda: build_controller("ric_consensus", SE2).validate_initial(
+        SE2.identity_like(3), {"xi": np.zeros((2, 3))}), "has shape"),
+    (lambda: build_controller("tc_right_cascade", SO3,
+                              cs=ControlSetting(np.zeros(3), np.eye(3)[:, :2])),
+     "needs fully actuated agents"),
+    (lambda: build_controller("underactuated_lic", SO3), "needs a control setting"),
+    (lambda: build_controller("tc_right_frozen", SO3), "needs parameter xi_r"),
+    (lambda: build_controller("no_such_law", SO3), "unknown controller 'no_such_law'"),
+], ids=["non-finite-setting", "compatibility-mode", "missing-aux", "misshaped-aux",
+        "underactuated", "no-control-setting", "no-xi_r", "unknown-name"])
+def test_controller_input_errors_are_typed(call, message):
+    with pytest.raises(ControllerError, match=message):
+        call()

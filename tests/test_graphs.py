@@ -191,3 +191,21 @@ def test_uniform_validates_durations():
         g.is_uniformly_connected(2.0, 1.0, 5.0)
     with pytest.raises(GraphError):
         g.is_uniformly_connected(0.5, 6.0, 5.0)
+
+
+def test_edge_on_across_a_breakpoint_dwells_over_both_segments():
+    # the edge's two one-second spans merge, so it dwells for 1.5 in [0, 2]
+    on = CommGraph(2, [(0.0, [(0, 1)]), (1.0, [(0, 1)])])
+    assert on.is_uniformly_connected(delta=1.5, T=2.0, horizon=2.0)
+    gap = CommGraph(2, [(0.0, [(0, 1)]), (1.0, []), (1.1, [(0, 1)])])
+    assert not gap.is_uniformly_connected(delta=1.5, T=2.0, horizon=2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CommGraph(0, [(0.0, [])]), "at least one agent"),
+    (lambda: CommGraph(2, []), "at least one segment"),
+    (lambda: CommGraph.static(2, [(0, 1)]).algebraic_connectivity(), "static undirected"),
+], ids=["no-agents", "no-segments", "directed-connectivity"])
+def test_graph_input_errors_are_typed(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()

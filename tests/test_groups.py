@@ -836,3 +836,9 @@ def test_adjoint_of_exp_is_exponential_of_ad(group):
         lhs = group.adjoint_matrix(group.exp(xi))
         rhs = _expm_taylor(group.ad_matrix(xi))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2)])
+def test_vee_rejects_a_shape_other_than_3x3(shape):
+    with pytest.raises(GroupError, match="vee expects"):
+        vee(np.zeros(shape))

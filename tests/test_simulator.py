@@ -1,5 +1,6 @@
 """Integration loop: stepping, runs, metrics, determinism, export round trips."""
 
+import gc
 import json
 import sys
 import warnings
@@ -95,6 +96,16 @@ def test_step_rejects_nonfinite_velocity():
     [event] = traj.events
     assert event.kind == "blowup" and event.t == 0.0
     assert "agent(s) [0, 1]" in event.detail
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_metrics_end_the_run_in_a_blowup():
+    # finite poses and velocities whose disagreement costs overflow at t = 0
+    xi = np.array([[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0], [1e200, 0.0, 0.0]])
+    traj = run(_cfg(controller="constant", controller_params={"xi": xi}, record_every=1))
+    assert not traj.completed and list(traj.times) == [0.0]
+    assert [(e.t, e.kind, e.detail) for e in traj.events] == [
+        (0.0, "blowup", "non-finite metrics; run aborted")]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -425,11 +436,15 @@ def _calls_per_step(cfg, steps=(100, 300)):
                 if code.co_filename.startswith(_NUMPY_DIR):
                     c["numpy"] += 1
 
+        # no collection inside the count: it would call whatever gc.callbacks
+        # other libraries hold (hypothesis keeps one), at allocation-dependent steps
+        gc.disable()
         sys.setprofile(count)
         try:
             run(replace(cfg, t_end=n * cfg.h))
         finally:
             sys.setprofile(None)
+            gc.enable()
         counts.append(c)
     return tuple((counts[1][k] - counts[0][k]) / (steps[1] - steps[0])
                  for k in ("call", "c_call", "require", "numpy"))
@@ -440,7 +455,7 @@ def _scenario_file(name):
 
 
 @pytest.mark.parametrize("make_cfg, python_calls, c_calls, numpy_calls", [
-    pytest.param(lambda: _scenario_file("se3_steering_linear"), 38.6, 22.1, 4.98,
+    pytest.param(lambda: _scenario_file("se3_steering_linear"), 34.6, 26.1, 0.98,
                  id="se3_steering_linear-4"),
     pytest.param(lambda: _scenario_file("se3_steering_helical"), 41.7, 26.15, 0.98,
                  id="se3_steering_helical-4"),
@@ -566,6 +581,32 @@ def test_malformed_trajectory_csv_is_a_config_error(tmp_path, damage, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=message):
         read_trajectory_csv(path, "se2")
+
+
+def _read_without_the_last_row(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(_cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)), path)
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    return read_trajectory_csv(path, "se2")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: _cfg(stop_metric="V_r").validate(), "stop_metric and stop_below go together"),
+    (lambda tmp: run(_cfg(init=InitSpec(kind="explicit"))), "explicit initial state needs g0"),
+    (lambda tmp: run(_cfg(init=InitSpec(kind="grid"))), "unknown kind 'grid'"),
+    # kind defaults to "random", which would draw poses in place of g0
+    (lambda tmp: run(_cfg(init=InitSpec(g0=SE2.identity_like(3)))), "g0 needs kind = explicit"),
+    (lambda tmp: run(_cfg(init=InitSpec(kind="explicit", g0=SE2.identity_like(2)))),
+     "g0 does not match the agent count"),
+    (lambda tmp: run(_cfg(init=InitSpec(aux0={"eta": np.zeros((3, 3))}))),
+     "no auxiliary state 'eta'"),
+    (lambda tmp: simulator.left_translated(_cfg(), SE2.identity()), "explicit initial state"),
+    (_read_without_the_last_row, "not a whole number of snapshots"),
+], ids=["stop-pair", "explicit-without-g0", "unknown-kind", "random-with-g0", "g0-count",
+        "unknown-aux", "translate-random", "partial-snapshot"])
+def test_simulator_input_errors_are_typed(tmp_path, call, message):
+    with pytest.raises(ConfigError, match=message):
+        call(tmp_path)
 
 
 def test_undecodable_trajectory_csv_is_a_config_error(tmp_path):
