@@ -237,40 +237,37 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
 # isotropy sets
 # ---------------------------------------------------------------------------
 
-def _null_space(M, dim, rel_tol):
+def _null_space(M, dim):
     """Orthonormal basis (rows) of the null space of M, singular values up to
-    rel_tol times the largest counting as zero; all of R^dim when M = 0."""
+    RANK_REL_TOL times the largest counting as zero; all of R^dim when M = 0."""
     _, s, Vt = np.linalg.svd(M)
     if s[0] == 0.0:
         return np.eye(dim)
-    return Vt[s <= rel_tol * s[0]]
+    return Vt[s <= RANK_REL_TOL * s[0]]
 
 
-def cm_algebra_basis(group, xi, rel_tol=RANK_REL_TOL):
+def cm_algebra_basis(group, xi):
     """Orthonormal basis (rows) of the commutant {eta : [xi, eta] = 0}."""
-    return _null_space(group.ad_matrix(xi), group.dim, rel_tol)
+    return _null_space(group.ad_matrix(xi), group.dim)
 
 
-def cm_algebra_dimension(group, xi, rel_tol=RANK_REL_TOL):
+def cm_algebra_dimension(group, xi):
     """Dimension of the isotropy algebra: dim ker [xi, .]."""
-    return cm_algebra_basis(group, xi, rel_tol).shape[0]
+    return cm_algebra_basis(group, xi).shape[0]
 
 
-def random_cm_element(group, xi, rng, scale=1.0, depth=3):
-    """Random product of exponentials of commutant directions; stays in the
-    isotropy subgroup of xi."""
+def random_cm_element(group, xi, rng, scale=1.0):
+    """Random product of three exponentials of commutant directions; stays in
+    the isotropy subgroup of xi.  The commutant is never empty: it holds xi."""
     basis = cm_algebra_basis(group, xi)
-    if basis.shape[0] == 0:
-        return group.identity()
     out = group.identity()
-    for _ in range(depth):
+    for _ in range(3):
         z = scale * rng.standard_normal(basis.shape[0])
         out = group.compose(out, group.exp(z @ basis))
     return out
 
 
-def generate_tc_configuration(group, xi, n, rng, tree_edges=None, base=None,
-                              scale=1.0, depth=3):
+def generate_tc_configuration(group, xi, n, rng, tree_edges=None, scale=1.0):
     """Agent positions whose tree-edge relative positions fix the velocity xi.
 
     Flying all agents open loop at the common body velocity xi from these
@@ -289,7 +286,7 @@ def generate_tc_configuration(group, xi, n, rng, tree_edges=None, base=None,
         adj[int(a)].append(int(b))
         adj[int(b)].append(int(a))
     g = group.identity_like(n)
-    g[0] = group.random(rng) if base is None else group.require_element(base)
+    g[0] = group.random(rng)
     seen = {0}
     stack = [0]
     while stack:
@@ -299,13 +296,13 @@ def generate_tc_configuration(group, xi, n, rng, tree_edges=None, base=None,
                 continue
             seen.add(c)
             stack.append(c)
-            g[c] = group.compose(g[p], random_cm_element(group, xi, rng, scale, depth))
+            g[c] = group.compose(g[p], random_cm_element(group, xi, rng, scale))
     if len(seen) != n:
         raise AnalysisError("tree_edges do not span all agents")
     return g
 
 
-def compatible_velocities(group, lambdas, rel_tol=RANK_REL_TOL):
+def compatible_velocities(group, lambdas):
     """Exploratory solver: body velocities xi fixed by every given relative
     position, i.e. the intersection of ker(Ad_lambda - Id).
 
@@ -315,7 +312,7 @@ def compatible_velocities(group, lambdas, rel_tol=RANK_REL_TOL):
     rows = [group.adjoint_matrix(lam) - np.eye(group.dim) for lam in lambdas]
     if not rows:
         return np.eye(group.dim)
-    return _null_space(np.concatenate(rows, axis=0), group.dim, rel_tol)
+    return _null_space(np.concatenate(rows, axis=0), group.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +382,7 @@ def _so3_tc_config(n, graph, seed, t_end, h, init, stop_tol):
 
 
 def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
-                      t_end=30.0, h=2e-3, tol=1e-6, aux_scale=1.0):
+                      t_end=30.0, h=2e-3, tol=1e-6):
     """Fraction of random starts of the body-reference cascade that reach
     total coordination (terminal V_tl below tol).  Reported, not asserted:
     the result is an empirical basin estimate."""
@@ -401,7 +398,7 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
     for i, s in enumerate(seeds):
         cfg = _so3_tc_config(
             n_agents, graph, int(s), t_end, h,
-            InitSpec(kind="random", aux_scale=aux_scale), stop_tol=tol * 1e-2,
+            InitSpec(kind="random"), stop_tol=tol * 1e-2,
         )
         traj = run(cfg)
         terminal[i] = traj.metrics["V_tl"][-1]
@@ -409,23 +406,23 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
     return BasinProbeResult(graph_kind, trials, reached, terminal)
 
 
-def so3_anti_aligned_state(n=4, axis=None):
+def so3_anti_aligned_state(n=4):
     """Rotation stack split into two groups whose spatial images of the common
-    spin axis cancel: a stationary saddle of the position controller."""
+    spin axis e3 cancel: a stationary saddle of the position controller."""
     if n % 2:
         raise AnalysisError("anti-aligned construction needs an even agent count")
-    axis = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
     flip = so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
     g = np.stack([np.eye(3)] * (n // 2) + [flip] * (n // 2))
-    eta = np.broadcast_to(axis, (n, 3)).copy()
+    eta = np.broadcast_to([0.0, 0.0, 1.0], (n, 3)).copy()
     return g, eta
 
 
-def so3_saddle_escape(eps=1e-3, seed=0, n=4, t_end=40.0, h=1e-3):
-    """Perturb the anti-aligned saddle and run the cascade; returns the
-    trajectory (terminal V_tl near zero demonstrates the escape)."""
+def so3_saddle_escape(eps=1e-3, seed=0, t_end=40.0, h=1e-3):
+    """Perturb the anti-aligned saddle of four agents and run the cascade;
+    returns the trajectory (terminal V_tl near zero demonstrates the escape)."""
     rng = np.random.default_rng(seed)
-    g, eta = so3_anti_aligned_state(n)
+    g, eta = so3_anti_aligned_state()
+    n = len(g)
     g = get_group("so3").compose(g, so3_exp(eps * rng.standard_normal((n, 3))))
     eta = eta + eps * rng.standard_normal((n, 3))
     cfg = _so3_tc_config(

@@ -7,13 +7,15 @@ neighbour sum over group actions, _neighbor_sum: the transported sum
 sum_j A[k, j] Ad_{g_k^-1 g_j} x_j, computed as Ad_{g_k}^-1 sum_j A[k, j] Ad_{g_j} x_j
 with the group's adjoint and adjoint_inv, or the plain sum sum_j A[k, j] x_j.
 The group laws transport by their own group; the steering laws on SE(3) by
-SO(3) acting through the rotation block Q of each pose.  The sum is a
-dense product with the in-matrix from CommGraph.in_terms: at every swarm size
-benchmarked (4 to 256 agents) the matmul costs less than a scatter-add
-(np.add.at) over the edge list, and its fixed summation order keeps results
-deterministic.  Cross products go through groups.cross3 rather than np.cross:
-the results are the same bit for bit, and at a few agents np.cross costs
-several times more in call overhead than the products themselves.
+SO(3) acting through the rotation block Q of each pose.  The sum is a dense
+product with the in-matrix from CommGraph.in_terms, the cheaper form on small
+swarms only: on one OpenBLAS thread of a 2-core Xeon it takes 1.2 us at 3 or 4
+agents, where a gather and np.add.reduceat over the sorted edges take 1.7-1.8
+us, and on ring(256) with n = 6 the two are even (26-28 us).  reduceat gave the
+product's bits on complete(3) and on rings, not on complete(4).  Cross products
+go through groups.cross3 rather than np.cross: the results are the same bit for
+bit, and at a few agents np.cross costs several times more in call overhead
+than the products themselves.
 
 The right-hand sides take float arrays of the shapes the simulator builds and
 check nothing: they call the group kernels (groups._adjoint, ...), and the
@@ -90,9 +92,9 @@ class ControlSetting:
         eta = np.asarray(eta, dtype=float)
         return self.a + self.project_range(eta - self.a)
 
-    def contains(self, eta, tol=1e-9):
+    def contains(self, eta):
         eta = np.asarray(eta, dtype=float)
-        return bool(np.max(np.linalg.norm(eta - self.project(eta), axis=-1)) <= tol)
+        return bool(np.max(np.linalg.norm(eta - self.project(eta), axis=-1)) <= 1e-9)
 
     # -- common settings --------------------------------------------------------
 
@@ -247,24 +249,25 @@ class SignConditionCheck:
     witness: np.ndarray | None = None
 
 
-def check_sign_condition(group, cs, samples=10_000, rng=None, tol=1e-9, pos_scale=2.0,
-                         control_scale=1.0):
+def check_sign_condition(group, cs, samples=10_000, rng=None):
     """Monte-Carlo classification of (eta - P(eta)) . [eta, P(eta)] over the
     orbit O_C = {Ad_g (a + B u)}.
 
     Returns "equality" when the quantity vanishes on all samples, "holds"
     when it is nonpositive, and "violated" with a witness otherwise.
     """
+    if samples < 1:
+        raise ControllerError(f"samples: must be >= 1, not {samples!r}")
     rng = np.random.default_rng(0) if rng is None else rng
-    g = group.random(rng, samples, pos_scale=pos_scale)
-    u = control_scale * rng.standard_normal((samples, cs.m))
+    g = group.random(rng, samples, pos_scale=2.0)
+    u = rng.standard_normal((samples, cs.m))
     eta = group.adjoint(g, cs.a + u @ cs.B.T)
     pi = cs.project(eta)
     s = np.einsum("kn,kn->k", eta - pi, group.bracket(eta, pi))
     hi, lo = float(np.max(s)), float(np.min(s))
-    if max(abs(hi), abs(lo)) <= tol:
+    if max(abs(hi), abs(lo)) <= 1e-9:
         return SignConditionCheck("equality", hi, lo)
-    if hi <= tol:
+    if hi <= 1e-9:
         return SignConditionCheck("holds", hi, lo)
     return SignConditionCheck("violated", hi, lo, witness=eta[int(np.argmax(s))])
 
@@ -321,7 +324,7 @@ def helical_body_velocity(alpha, beta, gamma):
 # compatibility of relative positions with the actuation (equilibrium checks)
 # ---------------------------------------------------------------------------
 
-def compatibility_check(group, g, cs, mode="lic", tol=1e-8):
+def compatibility_check(group, g, cs, mode="lic"):
     """Pairwise feasibility of coordinated equilibria.
 
     mode "lic": for each pair (j, k), do controls u_j, u_k exist with
@@ -344,7 +347,7 @@ def compatibility_check(group, g, cs, mode="lic", tol=1e-8):
         X = cs.B - MB
     sol = np.linalg.pinv(X, rcond=np.finfo(float).eps * max(X.shape[-2:])) @ rhs[..., None]
     out = np.eye(n_agents, dtype=bool)
-    out[j, k] = np.linalg.norm((X @ sol)[..., 0] - rhs, axis=-1) <= tol
+    out[j, k] = np.linalg.norm((X @ sol)[..., 0] - rhs, axis=-1) <= 1e-8
     return out
 
 
@@ -422,7 +425,6 @@ class Controller:
                 f"has algebra dimension {group.dim}"
             )
         self.aux_dims = {f: group.dim if dim is None else dim for f, dim, _ in spec.aux}
-        self.aux_fields = tuple(self.aux_dims)
         if spec.check is not None:
             spec.check(self)
 
@@ -524,7 +526,7 @@ def _tc_left_default_aux(c, agents, rng, scale):
 
 
 def _tc_left_validate(c, aux0):
-    if _underactuated(c.cs) and not c.cs.contains(aux0["eta"], tol=1e-9):
+    if _underactuated(c.cs) and not c.cs.contains(aux0["eta"]):
         raise ControllerError(
             "underactuated tc_left_cascade requires eta(0) inside the feasible set"
         )

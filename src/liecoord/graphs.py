@@ -93,9 +93,6 @@ class CommGraph:
             t %= self.period
         return max(bisect_right(self.breakpoints, t) - 1, 0)
 
-    def edges_at(self, t):
-        return self.edge_sets[self._segment_index(t)]
-
     def _build_matrix(self, src, dst):
         A = np.zeros((self.n, self.n))
         A[dst, src] = 1.0
@@ -177,7 +174,7 @@ class CommGraph:
                     iv.append((lo, hi))
         return spans, times
 
-    def is_uniformly_connected(self, delta, T, horizon, tol=1e-12):
+    def is_uniformly_connected(self, delta, T, horizon):
         """Check the rooted delta-dwell connectivity over every [t, t+T] window.
 
         True iff some agent k can reach every other agent through the union of
@@ -202,7 +199,7 @@ class CommGraph:
             active = set()
             for e, ivs in spans.items():
                 for lo, hi in ivs:
-                    if min(hi, t0 + T) - max(lo, t0) >= delta - tol:
+                    if min(hi, t0 + T) - max(lo, t0) >= delta - 1e-12:
                         active.add(e)
                         break
             windows.append(active)

@@ -115,13 +115,13 @@ def _hat(w):
     return out
 
 
-def vee(S, tol=TAU_MANIFOLD):
+def vee(S):
     """Inverse of hat.  Rejects non-skew input."""
     S = np.asarray(S, dtype=float)
     if S.shape[-2:] != (3, 3):
         raise GroupError(f"vee expects (..., 3, 3) matrices, got {S.shape}")
     defect = np.max(np.abs(S + np.swapaxes(S, -1, -2)))
-    if not defect <= tol:
+    if not defect <= TAU_MANIFOLD:
         raise GroupError(f"vee: input is not skew-symmetric (defect={float(defect):.3e})")
     return np.stack([S[..., 2, 1], S[..., 0, 2], S[..., 1, 0]], axis=-1)
 
@@ -203,11 +203,11 @@ class LieGroup:
             )
         return xi
 
-    def check(self, g, tol=TAU_MANIFOLD):
+    def check(self, g):
         """Raise GroupError if any element violates the manifold constraint."""
         defect = self.manifold_defect(self.require_element(g))
         worst = float(np.max(defect))
-        if not np.isfinite(worst) or worst > tol:
+        if not np.isfinite(worst) or worst > TAU_MANIFOLD:
             raise GroupError(f"{self.name}: element off the manifold (defect={worst:.3e})")
 
     def identity_like(self, n):

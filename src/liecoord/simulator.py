@@ -161,6 +161,8 @@ class Trajectory:
         return self.g.shape[1]
 
     def state(self, i):
+        if not len(self.times):
+            raise ConfigError("trajectory has no recorded samples")
         return SwarmState(
             float(self.times[i]), self.g[i], {k: v[i] for k, v in self.aux.items()}
         )
@@ -257,7 +259,7 @@ def _initial_state(cfg, group, controller, rng):
     aux0 = controller.default_aux(g0, rng, scale=init.aux_scale)
     if init.aux0:
         for k, v in init.aux0.items():
-            if k not in aux0 and k not in controller.aux_fields:
+            if k not in aux0:
                 raise ConfigError(f"init: controller has no auxiliary state {k!r}")
             aux0[k] = np.asarray(v, dtype=float)
     controller.validate_initial(g0, aux0)
@@ -351,7 +353,7 @@ def run(cfg):
             for k in aux_rec:
                 aux_rec[k][s] = state.aux[k]
             m = metric_traces(group, state.g, out.xi, controller.eta_for_metrics(state),
-                              cfg.graph, state.t, cs=cfg.control)
+                              cfg.graph, state.t, cs=controller.cs)
             for name, value in m.items():
                 metric_rec[name][s] = value
             if not all(_all_finite(v[s]) for v in metric_rec.values()):
@@ -405,6 +407,11 @@ def left_translated(cfg, h0):
 # trajectory export / import
 # ---------------------------------------------------------------------------
 
+def _trajectory_columns(group):
+    """The columns every trajectory file starts with: t, agent, pose, xi."""
+    return ["t", "agent", *group.payload_columns, *(f"xi{i}" for i in range(group.dim))]
+
+
 def aux_columns(aux):
     """Column names of the aux fields: "aux." before each, so that none can
     repeat a pose or velocity column (an aux field may be named xi)."""
@@ -447,8 +454,7 @@ def write_trajectory_csv(traj, path):
     lic_consensus row formats 18 values, not 24."""
     group = traj.group
     s, n = len(traj.times), traj.n_agents
-    header = (["t", "agent"] + list(group.payload_columns)
-              + [f"xi{i}" for i in range(group.dim)] + aux_columns(traj.aux))
+    header = _trajectory_columns(group) + aux_columns(traj.aux)
     fields = (group.to_payload(traj.g), traj.xi, *traj.aux.values())
     pasted = traj.xi if any(v is traj.xi for v in traj.aux.values()) else None
     tail = "".join(",\x01" if v is pasted else ",%.17g" * v.shape[-1] for v in fields)
@@ -503,20 +509,25 @@ _AUX_COLUMN = re.compile(r"^aux\.(.*?)\d+$")
 
 
 def _read_csv(path, what):
-    """The header cells and the rows (a 2-D float array) of a CSV file; "#"
-    starts no comment, so a line or cell holding one is a malformed row.
-    numpy gets the path, which it reads in blocks at C level, and skips the
-    header line: an open handle it would iterate line by line in Python."""
+    """The header cells and the rows (a float array of one column per cell) of
+    a CSV file; "#" starts no comment, so a line or cell holding one is a
+    malformed row.  numpy gets the path, which it reads in blocks at C level,
+    and skips the header: an open handle it would iterate line by line."""
     with warnings.catch_warnings():
-        # a file without rows is reported by the callers
+        # numpy warns of a file without rows, which is read as such
         warnings.simplefilter("ignore", UserWarning)
         try:
             with open(path) as f:
                 header = f.readline().rstrip("\n").split(",")
-            return header, np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
+            data = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
         except ValueError as e:
             # a truncated row, a value that is not a number, or bytes that are not text
             raise ConfigError(f"malformed {what} row: {e}") from e
+    if len(data) == 0:
+        return header, np.zeros((0, len(header)))
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{what} rows have {data.shape[1]} columns, its header {len(header)}")
+    return header, data
 
 
 def read_trajectory_csv(path, group_name, n_agents=None):
@@ -530,7 +541,7 @@ def read_trajectory_csv(path, group_name, n_agents=None):
     group = get_group(group_name)
     header, data = _read_csv(path, "trajectory")
     n_payload = len(group.payload_columns)
-    want = ["t", "agent"] + list(group.payload_columns) + [f"xi{i}" for i in range(group.dim)]
+    want = _trajectory_columns(group)
     if header[: len(want)] != want:
         raise ConfigError(f"unexpected trajectory header for group {group_name}")
     first, end = {}, {}     # per aux field, the range of its columns
@@ -543,11 +554,7 @@ def read_trajectory_csv(path, group_name, n_agents=None):
     if len(data) == 0:
         if not (type(n_agents) is int and n_agents >= 1):
             raise ConfigError(f"trajectory has no rows and {n_agents!r} agents")
-        data = np.zeros((0, n_agents, len(header)))
-    elif data.shape[1] != len(header):
-        raise ConfigError(
-            f"trajectory rows have {data.shape[1]} columns, its header {len(header)}"
-        )
+        data = data.reshape(0, n_agents, len(header))
     else:
         # rows go snapshot by snapshot, agent ids 0..N-1 in order, one time each
         s = int(np.count_nonzero(data[:, 1] == 0))
@@ -581,10 +588,6 @@ def read_metrics_csv(path, n_agents):
     # the length first: the agent count comes from the manifest
     if len(header) != 1 + len(METRIC_NAMES) + n_agents or header != _metrics_header(n_agents):
         raise ConfigError(f"unexpected metrics header for {n_agents} agents")
-    if len(data) == 0:
-        data = np.zeros((0, len(header)))
-    elif data.shape[1] != len(header):
-        raise ConfigError(f"metrics rows have {data.shape[1]} columns, its header {len(header)}")
     metrics = {name: data[:, i].copy() for i, name in enumerate(METRIC_NAMES, 1)}
     metrics["V_k"] = data[:, 1 + len(METRIC_NAMES):].copy()
     return data[:, 0].copy(), metrics

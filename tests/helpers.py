@@ -22,11 +22,16 @@ def right_relative(group, g_k, g_j):
     return group.compose(g_j, group.inverse(g_k))
 
 
+def edges_at(graph, t):
+    """The edge set (j, k) of a graph active at time t."""
+    return graph.edge_sets[graph._segment_index(t)]
+
+
 def in_neighbors(graph, k, t=0.0):
     """Sorted ids of agents sending to k at time t."""
     if not (0 <= k < graph.n):
         raise GraphError(f"agent id {k} out of range for {graph.n} agents")
-    return sorted(j for j, kk in graph.edges_at(t) if kk == k)
+    return sorted(j for j, kk in edges_at(graph, t) if kk == k)
 
 
 def to_matrix(group, g):

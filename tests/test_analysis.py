@@ -530,6 +530,11 @@ def test_compatible_velocities_explorer():
     assert compatible_velocities(SE3, lambdas).shape[0] == 0
 
 
+@pytest.mark.parametrize("group", [SO3, SE2, SE3], ids=lambda G: G.name)
+def test_no_relative_positions_fix_no_velocity(group):
+    assert np.array_equal(compatible_velocities(group, []), np.eye(group.dim))
+
+
 # ---------------------------------------------------------------------------
 # closed-form geometry oracles
 # ---------------------------------------------------------------------------

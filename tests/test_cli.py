@@ -16,6 +16,8 @@ from liecoord.groups import GroupError
 from liecoord.scenario import parse_scenario
 from liecoord.simulator import ConfigError, ScenarioConfig
 
+from helpers import edges_at
+
 MINIMAL = """
 [scenario]
 schema = 1
@@ -153,8 +155,8 @@ segment_1 = 1.0 : 1>2 2-0
 """
     cfg = parse_scenario(_write(tmp_path, text))
     assert cfg.graph.period == 2.0
-    assert cfg.graph.edges_at(0.5) == frozenset({(0, 1)})
-    assert cfg.graph.edges_at(1.5) == frozenset({(1, 2), (2, 0), (0, 2)})
+    assert edges_at(cfg.graph, 0.5) == frozenset({(0, 1)})
+    assert edges_at(cfg.graph, 1.5) == frozenset({(1, 2), (2, 0), (0, 2)})
     assert cfg.control.m == 3
 
 

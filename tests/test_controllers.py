@@ -942,8 +942,10 @@ def _check_stacked_batch(ctrl, group):
     (lambda: build_controller("underactuated_lic", SO3), "needs a control setting"),
     (lambda: build_controller("tc_right_frozen", SO3), "needs parameter xi_r"),
     (lambda: build_controller("no_such_law", SO3), "unknown controller 'no_such_law'"),
+    (lambda: check_sign_condition(SE2, ControlSetting.se2_steering(), samples=0),
+     "samples: must be >= 1"),
 ], ids=["non-finite-setting", "compatibility-mode", "missing-aux", "misshaped-aux",
-        "underactuated", "no-control-setting", "no-xi_r", "unknown-name"])
+        "underactuated", "no-control-setting", "no-xi_r", "unknown-name", "no-samples"])
 def test_controller_input_errors_are_typed(call, message):
     with pytest.raises(ControllerError, match=message):
         call()

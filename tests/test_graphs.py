@@ -201,6 +201,12 @@ def test_edge_on_across_a_breakpoint_dwells_over_both_segments():
     assert not gap.is_uniformly_connected(delta=1.5, T=2.0, horizon=2.0)
 
 
+def test_repr_names_the_schedule_kind():
+    assert repr(CommGraph.ring(5)) == "<CommGraph n=5 static>"
+    scheduled = CommGraph(3, [(0.0, [(0, 1)]), (1.0, [(1, 2)])], period=2.0)
+    assert repr(scheduled) == "<CommGraph n=3 2-segment>"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: CommGraph(0, [(0.0, [])]), "at least one agent"),
     (lambda: CommGraph(2, []), "at least one segment"),

@@ -124,6 +124,15 @@ def test_vee_rejects_non_skew():
 # compose / inverse / relative positions
 # ---------------------------------------------------------------------------
 
+def test_se2_random_with_rot_scale_draws_gaussian_headings():
+    g = SE2.random(np.random.default_rng(4), 6, pos_scale=2.0, rot_scale=0.05)
+    rng = np.random.default_rng(4)
+    r = 2.0 * rng.uniform(-1.0, 1.0, (6, 2))
+    theta = 0.05 * rng.standard_normal(6)
+    assert same_bits(g, np.column_stack([r, wrap_angle(theta)]))
+    assert np.max(np.abs(g[:, 2] - theta)) < 1e-15
+
+
 @pytest.mark.parametrize("group", ALL, ids=lambda g: g.name)
 def test_identity_neutral(group):
     rng = rng_for(group.name)

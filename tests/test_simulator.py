@@ -34,6 +34,8 @@ from liecoord.simulator import (
     write_trajectory_csv,
 )
 
+from helpers import edges_at
+
 E1, E2, E3 = np.eye(3)
 
 
@@ -169,11 +171,24 @@ def test_metrics_vk_zero_on_feasible_set():
     assert m2["V_k"][0] == pytest.approx(0.5 * 0.3**2)
 
 
+@pytest.mark.parametrize("controller", ["se3_steering_linear", "se3_steering_helical"])
+def test_steering_vk_is_the_distance_from_the_laws_own_setting(controller):
+    # without [control] a steering law runs under its own se3_steering setting,
+    # and V_k measures the distance from that setting, not from no setting
+    cfg = ScenarioConfig(group="se3", n_agents=4, controller=controller,
+                         graph=CommGraph.ring(4), t_end=0.5, h=1e-2, seed=5)
+    bare = run(cfg)
+    preset = run(replace(cfg, control=ControlSetting.se3_steering()))
+    assert bare.xi.tobytes() == preset.xi.tobytes()
+    assert bare.metrics["V_k"].tobytes() == preset.metrics["V_k"].tobytes()
+    assert np.max(bare.metrics["V_k"]) > 0.0
+
+
 def _dense_metrics(group, g, xi, eta, graph, t):
     """Reference disagreement costs: N x N x n differences masked by a dense
     in-matrix built from the edge set itself."""
     A = np.zeros((graph.n, graph.n))
-    for j, k in graph.edges_at(t):
+    for j, k in edges_at(graph, t):
         A[k, j] = 1.0
 
     def cost(x):
@@ -199,7 +214,7 @@ def _metric_cases():
     cases.append(pytest.param(CommGraph.empty(4), 0.0, id="empty"))
     cases.append(pytest.param(CommGraph.empty(1), 0.0, id="single"))
     sched = CommGraph(6, [(0.0, _random_edges(rng, 6, 0.5)), (0.5, _random_edges(rng, 6, 0.5)),
-                          (1.2, CommGraph.ring(6).edges_at(0.0))], period=2.0)
+                          (1.2, edges_at(CommGraph.ring(6), 0.0))], period=2.0)
     for t in (0.5 - 1e-9, 0.5, 1.2 - 1e-9, 1.2, 2.0 - 1e-9, 2.0, 2.5 - 1e-9, 2.5):
         cases.append(pytest.param(sched, t, id=f"schedule@{t!r}"))
     return cases
@@ -218,7 +233,7 @@ def test_edge_metrics_match_dense_reference(group, graph, t):
         want = _dense_metrics(group, g, xi, aux, graph, t)
         for name, ref in want.items():
             assert abs(got[name] - ref) <= 1e-12 * max(1.0, abs(ref)), (name, got[name], ref)
-        if not graph.edges_at(t):
+        if not edges_at(graph, t):
             assert all(got[name] == 0.0 for name in want)
     # without an auxiliary velocity the halved costs are exactly half of xi's
     got = metric_traces(group, g, xi, None, graph, t)
@@ -332,6 +347,17 @@ def test_run_keeps_manifold_tight():
         graph=CommGraph.complete(4), t_end=5.0, h=1e-3, seed=3, reproject_every=0,
     ))
     assert float(np.max(SO3.manifold_defect(traj2.g[-1]))) < 5000 * 1e-13
+
+
+def test_reprojection_past_the_tolerance_is_logged(monkeypatch):
+    monkeypatch.setattr(simulator, "TAU_MANIFOLD", 0.0)
+    traj = run(ScenarioConfig(group="so3", n_agents=3, controller="lic_consensus",
+                              graph=CommGraph.complete(3), t_end=1.0, h=1e-3, seed=0))
+    # one event per (kind, agent): the first of the ten reprojections, counted ten times
+    [event] = traj.events
+    assert (event.kind, event.count, event.t) == ("reproject", 10, pytest.approx(0.1))
+    defect = float(event.detail.removeprefix("manifold defect ").removesuffix(" corrected"))
+    assert 0.0 < defect < 1e-12
 
 
 def test_run_velocity_relation_along_trajectory():
@@ -590,6 +616,13 @@ def _read_without_the_last_row(tmp_path):
     return read_trajectory_csv(path, "se2")
 
 
+def _unsampled_run():
+    """A run that blows up at t = 0, before its first sample."""
+    traj = run(_cfg(controller="constant", controller_params={"xi": [np.nan, 0.0, 0.0]}))
+    assert len(traj.times) == 0 and not traj.completed
+    return traj
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda tmp: _cfg(stop_metric="V_r").validate(), "stop_metric and stop_below go together"),
     (lambda tmp: run(_cfg(init=InitSpec(kind="explicit"))), "explicit initial state needs g0"),
@@ -602,8 +635,11 @@ def _read_without_the_last_row(tmp_path):
      "no auxiliary state 'eta'"),
     (lambda tmp: simulator.left_translated(_cfg(), SE2.identity()), "explicit initial state"),
     (_read_without_the_last_row, "not a whole number of snapshots"),
+    (lambda tmp: _unsampled_run().final, "no recorded samples"),
+    (lambda tmp: _unsampled_run().state(0), "no recorded samples"),
 ], ids=["stop-pair", "explicit-without-g0", "unknown-kind", "random-with-g0", "g0-count",
-        "unknown-aux", "translate-random", "partial-snapshot"])
+        "unknown-aux", "translate-random", "partial-snapshot", "final-of-no-samples",
+        "state-of-no-samples"])
 def test_simulator_input_errors_are_typed(tmp_path, call, message):
     with pytest.raises(ConfigError, match=message):
         call(tmp_path)
