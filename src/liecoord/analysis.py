@@ -9,12 +9,12 @@ and select.  Per-agent quantities of the window (rotation-block and
 translation rates, the size of each block, each velocity's distance from the
 sample centroid) give every pair an O(1) upper bound, rounding included.
 The largest value of the PAIR_CHUNK pairs of largest bound is a floor, and
-the pairs whose bound is not below it are evaluated exactly, in chunks of
-PAIR_CHUNK in pair order; a window with a non-finite value, or a NaN floor,
-makes every pair a candidate.  A value is computed as by a loop over all
-pairs (the same gathers, compose, embed and norms), in that loop's order, so
-the report equals that loop's field for field, its worst pair and time
-included.  Each agent's inverse is computed once per check.
+the other pairs whose bound is not below it are evaluated exactly, in chunks
+of PAIR_CHUNK in pair order, so that no pair is evaluated twice; a window
+with a non-finite value, or a NaN floor, makes every pair a candidate.  A
+value is computed as by a loop over all pairs (the same gathers, compose,
+embed and norms), in that loop's order, so the report equals that loop's
+field for field, its worst pair and time included.  Each agent's inverse is computed once per check.
 """
 
 from __future__ import annotations
@@ -85,25 +85,35 @@ class CoordinationReport:
         )
 
 
+def _peak(pairs, values):
+    """(pair, value, sample) of the largest of values(pairs): of its first NaN,
+    else of its first maximum, in the order of pairs."""
+    r = values(pairs)
+    peak = np.max(r, axis=0)
+    p = np.argmax(peak)
+    return int(pairs[p]), float(peak[p]), int(np.argmax(r[:, p]))
+
+
 def _select(bound, values):
     """Maximum of values(pairs) over every pair, with the pair (its index in
-    np.triu_indices order) and the sample where it occurs.  The floor is the
-    largest value of the PAIR_CHUNK pairs of largest bound, if there are more
-    pairs; the pairs whose bound is not below it come in pair order, so the
-    first largest value wins, or the first NaN, as in a loop over all pairs.
-    A maximum of 0 names no pair."""
-    floor = -np.inf
+    np.triu_indices order) and the sample where it occurs.  The PAIR_CHUNK
+    pairs of largest bound (every pair, if there are no more) are evaluated
+    first, and their largest value is a floor; then the other pairs whose
+    bound is not below it, in pair order.  So each pair is evaluated at most
+    once, and the first largest value in pair order wins, or the first NaN,
+    as in a loop over all pairs.  A maximum of 0 names no pair."""
+    if not len(bound):
+        return 0.0, None, None
+    top = np.arange(len(bound))
     if len(bound) > PAIR_CHUNK:
-        floor = np.max(values(np.argpartition(bound, -PAIR_CHUNK)[-PAIR_CHUNK:]))
-    candidates = np.flatnonzero(~(bound < floor))
+        top = np.sort(np.argpartition(bound, -PAIR_CHUNK)[-PAIR_CHUNK:])
+    found = [_peak(top, values)]
+    rest = np.setdiff1d(np.flatnonzero(~(bound < found[0][1])), top, assume_unique=True)
+    found += [_peak(rest[lo:lo + PAIR_CHUNK], values) for lo in range(0, len(rest), PAIR_CHUNK)]
     best, pair, sample = 0.0, None, None
-    for lo in range(0, len(candidates), PAIR_CHUNK):
-        pairs = candidates[lo:lo + PAIR_CHUNK]
-        r = values(pairs)
-        peak = np.max(r, axis=0)
-        p = np.argmax(peak)         # the first NaN, else the first maximum
-        if peak[p] > best or (np.isnan(peak[p]) and not np.isnan(best)):
-            best, pair, sample = float(peak[p]), int(pairs[p]), int(np.argmax(r[:, p]))
+    for p, value, s in sorted(found):       # in pair order
+        if value > best or (np.isnan(value) and not np.isnan(best)):
+            best, pair, sample = value, p, s
     return best, pair, sample
 
 

@@ -23,7 +23,7 @@ from .controllers import ControllerError
 from .graphs import GraphError
 from .groups import GroupError
 from .scenario import FIELDS, parse_scenario, read_fields
-from .simulator import ConfigError, Trajectory
+from .simulator import ConfigError, ScenarioConfig, Trajectory
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -68,26 +68,37 @@ def cmd_run(args):
 
 
 def load_run(run_dir):
-    """Rebuild a Trajectory, with its events and metrics but without config,
-    from an output directory; a run that ended before its first sample has no
-    samples, and one without metrics.csv has no metrics."""
+    """Rebuild a Trajectory, with its events, metrics and config, from an
+    output directory; a run that ended before its first sample has no
+    samples, and one without metrics.csv has no metrics.  The aux fields that
+    the manifest names in aux_is_xi are the reloaded xi array."""
     run_dir = Path(run_dir)
     manifest = simulator.read_manifest(run_dir / "manifest.txt")
-    times, g, xi, aux = simulator.read_trajectory_csv(
-        run_dir / "trajectory.csv", manifest["group"], manifest.get("agents")
-    )
+    agents = manifest.get("agents")
     try:
-        metric_times, metrics = simulator.read_metrics_csv(run_dir / "metrics.csv",
-                                                           manifest.get("agents"))
+        metric_times, metrics = simulator.read_metrics_csv(run_dir / "metrics.csv", agents)
     except FileNotFoundError:
         metric_times, metrics = None, {}
+    times, g, xi, aux = simulator.read_trajectory_csv(
+        run_dir / "trajectory.csv", manifest["group"], agents
+    )
     if metric_times is not None and metric_times.tobytes() != times.tobytes():
         raise ConfigError("metrics times differ from the trajectory's")
+    for name in manifest.get("aux_is_xi", []):
+        if name in aux:
+            raise ConfigError(f"aux field {name!r} is named as xi and has columns of its own")
+        aux[name] = xi
+    config = manifest.get("config")
+    if config is not None:
+        config = ScenarioConfig.from_record(config)
+        if config.config_hash() != manifest.get("config_hash"):
+            raise ConfigError("config_hash is not the hash of the manifest's config")
     return Trajectory(
         group_name=manifest["group"],
         times=times, g=g, xi=xi, aux=aux, metrics=metrics,
         events=[simulator.Event(**e) for e in manifest["events"]],
         completed=manifest["status"] == "completed",
+        config=config,
     ), manifest
 
 

@@ -17,19 +17,19 @@ that overflows is caught at the next step, not at the next reprojection.
 A run is exported as trajectory.csv (aux columns named aux.<field><i>),
 metrics.csv and a manifest: one JSON object holding the config as plain data
 (ScenarioConfig.record, which config_hash also hashes), the status and the
-events, so that a reloaded run keeps them and its metrics.  In the CSV files
-"#" starts no comment: a line or cell holding one is a malformed row.
+events, so that a reload keeps them, its config and its metrics.  In the CSV
+files "#" starts no comment: a line or cell holding one is a malformed row.
 
-Each recorded array is held once.  An aux field whose samples are the
-recorded velocity bit for bit (the aux xi of a velocity law, which commands
-its own state) is the Trajectory's xi array itself, in a run and in a reload;
-a reload holds arrays of its own, not views of the parsed text.
+Each recorded value is held and written once.  An aux field whose samples
+are the recorded velocity bit for bit (the aux xi of a velocity law, which
+commands its own state) is the Trajectory's xi array itself; it has no
+columns, the manifest names it in "aux_is_xi", and a reload sets it to the
+reloaded xi.  A reload holds arrays of its own, not views of the parsed text.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import re
@@ -44,7 +44,7 @@ from .graphs import CommGraph
 
 BLOWUP_NORM = 1e12
 CSV_BLOCK_ROWS = 256           # rows per format call in the CSV writers
-MANIFEST_SCHEMA = 2
+MANIFEST_SCHEMA = 3
 
 METRIC_NAMES = ("V_r", "V_l", "V_tr", "V_tl")
 
@@ -138,6 +138,28 @@ class ScenarioConfig:
 
     def config_hash(self):
         return hashlib.sha256(json.dumps(self.record(), sort_keys=True).encode()).hexdigest()
+
+    @classmethod
+    def from_record(cls, rec):
+        """The config whose record() is rec: the graph, the control setting,
+        the init arrays and the list-valued controller parameters are built
+        again.  A record that builds no config is a ConfigError."""
+        def arrays(d):
+            return {k: np.asarray(v) if isinstance(v, list) else v for k, v in d.items()}
+
+        try:
+            g, init = rec["graph"], arrays(rec["init"])
+            return cls(**{
+                **rec,
+                "graph": CommGraph(g["n"], list(zip(g["breakpoints"], g["edge_sets"])),
+                                   period=g["period"]),
+                "control": None if rec["control"] is None else ControlSetting(**rec["control"]),
+                "controller_params": arrays(rec["controller_params"]),
+                "init": InitSpec(**{**init, "aux0": None if init["aux0"] is None
+                                    else arrays(init["aux0"])}),
+            })
+        except (TypeError, KeyError, ValueError, AttributeError) as e:
+            raise ConfigError(f"config record does not build a config: {e!r}") from None
 
 
 @dataclass
@@ -421,46 +443,37 @@ def aux_columns(aux):
     return cols
 
 
-def _write_rows(path, header, cells, tails, pasted=None):
+def _write_rows(path, header, cells, tails):
     """Write a header line and snapshots of len(tails) rows, whole snapshots
     and about CSV_BLOCK_ROWS rows per %-format call, which bounds the Python
     floats and text alive at a time.  Row s of cells is snapshot s: its time,
     formatted once and copied to each of its rows, then its rows' values.
-    tails[j] is the text of row j after the time, with "%.17g" per value.
-    Each row of pasted (None, or an (S, len(tails), m) array) is formatted once
-    more, by one call per block, and goes in for each "\\x01" of its tail."""
+    tails[j] is the text of row j after the time, with "%.17g" per value."""
     per = max(1, CSV_BLOCK_ROWS // len(tails))
     # "\0" starts a snapshot, and "\x02" stands for its time in its later rows
-    parts = [t.split("\x01") for t in ["\0%.17g" + tails[0], *("\x02" + t for t in tails[1:])]]
+    template = "\0%.17g" + tails[0] + "".join("\x02" + t for t in tails[1:])
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, len(cells), per):
             block = cells[lo:lo + per]
-            texts = itertools.repeat("", len(block) * len(tails))
-            if pasted is not None:
-                rows = pasted[lo:lo + per].reshape(-1, pasted.shape[-1])
-                line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-                texts = (line * len(rows) % tuple(rows.ravel().tolist())).split("\n")[:-1]
-            template = "".join(map(str.join, texts, itertools.cycle(parts)))
-            for snapshot in (template % tuple(block.ravel().tolist())).split("\0")[1:]:
+            for snapshot in (template * len(block) % tuple(block.ravel().tolist())).split("\0")[1:]:
                 f.write(snapshot.replace("\x02", snapshot[:snapshot.index(",")]))
 
 
 def write_trajectory_csv(traj, path):
     """One row per agent and snapshot, snapshot by snapshot with agent ids
     0..N-1 in order: t, agent, pose payload, xi, aux; "%.17g" per value.  t is
-    formatted once per snapshot, the ids once per file, and an aux field that
-    is traj.xi (a velocity law's aux xi) takes xi's text: a 256-agent SE(3)
-    lic_consensus row formats 18 values, not 24."""
+    formatted once per snapshot and the ids once per file.  An aux field that
+    is traj.xi (a velocity law's aux xi) has no columns, and the manifest names
+    it: a 256-agent SE(3) lic_consensus row holds 20 columns, not 26."""
     group = traj.group
     s, n = len(traj.times), traj.n_agents
-    header = _trajectory_columns(group) + aux_columns(traj.aux)
-    fields = (group.to_payload(traj.g), traj.xi, *traj.aux.values())
-    pasted = traj.xi if any(v is traj.xi for v in traj.aux.values()) else None
-    tail = "".join(",\x01" if v is pasted else ",%.17g" * v.shape[-1] for v in fields)
-    body = np.concatenate([v for v in fields if v is not pasted], axis=-1, dtype=float)
+    aux = {k: v for k, v in traj.aux.items() if v is not traj.xi}
+    body = np.concatenate([group.to_payload(traj.g), traj.xi, *aux.values()], axis=-1, dtype=float)
     cells = np.column_stack([traj.times, body.reshape(s, n * body.shape[-1])])
-    _write_rows(path, header, cells, [f",{k}{tail}\n" for k in range(n)], pasted)
+    tail = ",%.17g" * body.shape[-1] + "\n"
+    _write_rows(path, _trajectory_columns(group) + aux_columns(aux), cells,
+                [f",{k}{tail}" for k in range(n)])
 
 
 def _metrics_header(n_agents):
@@ -475,7 +488,7 @@ def write_metrics_csv(traj, path):
 
 def write_manifest(traj, path):
     """Write the run as one JSON object: schema, group, agents, config_hash,
-    config (ScenarioConfig.record), status and events."""
+    config (ScenarioConfig.record), status, events and aux_is_xi."""
     cfg = traj.config
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -485,23 +498,28 @@ def write_manifest(traj, path):
         "config": None if cfg is None else cfg.record(),
         "status": "completed" if traj.completed else "aborted",
         "events": [asdict(e) for e in traj.events],
+        "aux_is_xi": [name for name, v in traj.aux.items() if v is traj.xi],
     }
     with open(path, "w") as f:
         json.dump(manifest, f, indent=1)
 
 
 def read_manifest(path):
-    """Load a manifest that write_manifest wrote; anything else is a ConfigError."""
+    """Load a manifest that write_manifest wrote, or a schema-2 one, without
+    aux_is_xi; anything else is a ConfigError."""
     try:
         with open(path) as f:
             man = json.load(f)
     except ValueError as e:     # also a UnicodeDecodeError: the file is not text
         raise ConfigError(f"manifest is not JSON: {e}") from None
-    if not (isinstance(man, dict) and man.get("schema") == MANIFEST_SCHEMA
+    names = man.get("aux_is_xi", []) if isinstance(man, dict) else None
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
+            and man.get("schema") == (MANIFEST_SCHEMA if "aux_is_xi" in man else 2)
             and isinstance(man.get("group"), str) and "status" in man
             and isinstance(man.get("events"), list)
             and all(isinstance(e, dict) and e.keys() == _EVENT_KEYS for e in man["events"])):
-        raise ConfigError(f"not a schema {MANIFEST_SCHEMA} manifest with group, status and events")
+        raise ConfigError(f"not a manifest of schema 2, or of schema {MANIFEST_SCHEMA} with "
+                          "aux_is_xi field names, with group, status and events")
     return man
 
 
@@ -531,12 +549,13 @@ def _read_csv(path, what):
 
 
 def read_trajectory_csv(path, group_name, n_agents=None):
-    """Rebuild (times, g, xi, aux) from an exported trajectory file.
+    """Rebuild (times, g, xi, aux) from an exported trajectory file; aux holds
+    the aux fields that have columns, each an array that owns its memory.
 
     A file without rows (a run that ended before its first sample) is read as
     no samples of n_agents agents, and is a ConfigError without n_agents.
-    Every array returned owns its memory, except that an aux field equal to
-    xi bit for bit is the xi array.
+    A file with rows of another agent count than a given n_agents is a
+    ConfigError too.
     """
     group = get_group(group_name)
     header, data = _read_csv(path, "trajectory")
@@ -562,6 +581,8 @@ def read_trajectory_csv(path, group_name, n_agents=None):
             raise ConfigError("trajectory rows are not a whole number of snapshots")
         data = data.reshape(s, len(data) // s, -1)
     n = data.shape[1]
+    if n_agents is not None and not (type(n_agents) is int and n_agents == n):
+        raise ConfigError(f"trajectory has {n} agents, not {n_agents!r}")
     bad = np.any(data[:, :, 1] != np.arange(n), axis=1)
     if np.any(bad):
         raise ConfigError(f"agent ids of snapshot {int(np.argmax(bad))} are not 0..{n - 1} in order")
@@ -571,10 +592,7 @@ def read_trajectory_csv(path, group_name, n_agents=None):
         raise ConfigError(f"times differ within snapshot {int(np.argmax(bad))}")
     # copies, so that the parsed rows are freed on return
     xi = data[:, :, 2 + n_payload:len(want)].copy()
-    aux = {}
-    for name in first:
-        block = data[:, :, first[name]:end[name]]
-        aux[name] = xi if _same_bits(block, xi) else block.copy()
+    aux = {name: data[:, :, first[name]:end[name]].copy() for name in first}
     return times.copy(), group.from_payload(data[:, :, 2:2 + n_payload]), xi, aux
 
 

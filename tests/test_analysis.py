@@ -265,6 +265,40 @@ def test_pruned_check_equals_the_per_pair_loop(group, kind, n, seed):
         assert rep.lambda_pair == pair and rep.lambda_time == t
 
 
+def _select_case(kind):
+    """bound, the (samples, pairs) values below it, and the expected
+    (maximum, pair, sample): the first NaN, else the first maximum."""
+    rng = np.random.default_rng(7)
+    n_pairs = 3 * PAIR_CHUNK + 7
+    bound = rng.uniform(1.0, 2.0, n_pairs)
+    table = 0.5 * bound * rng.uniform(0.0, 1.0, (4, n_pairs))
+    top = int(np.argmax(bound))
+    if kind == "tie":       # pair 5, of a low bound, ties the top pair and comes first
+        bound[5] = 1.2
+        table[1, 5] = table[3, top] = 1.2
+        return bound, table, (1.2, 5, 1)
+    if kind == "nan":       # a NaN among the pairs of largest bound makes all candidates
+        table[2, top] = np.nan
+        return bound, table, (np.nan, top, 2)
+    p = int(np.argmax(np.max(table, axis=0)))
+    return bound, table, (float(np.max(table)), p, int(np.argmax(table[:, p])))
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tie", "nan"])
+def test_select_evaluates_each_pair_once(kind):
+    bound, table, (best, pair, sample) = _select_case(kind)
+    seen = []
+
+    def values(pairs):
+        seen.extend(pairs.tolist())
+        return table[:, pairs]
+
+    got = analysis._select(bound, values)
+    assert len(seen) == len(set(seen)) and len(seen) >= PAIR_CHUNK
+    assert got[1:] == (pair, sample)
+    assert got[0] == best or np.isnan(got[0]) and np.isnan(best)
+
+
 def test_check_ties_go_to_the_earliest_pair():
     # SE(3) agents 2i at rest, agents 2i + 1 moving along x; every mixed pair
     # drifts at exactly 2.  Rotation blocks diag(1, 1, 1 + k 2^-20) raise the

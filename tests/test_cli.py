@@ -295,12 +295,15 @@ def test_cmd_check_round_trip_matches_in_process(tmp_path, capsys):
     '{"schema": 2, "group": "se2", "status": "completed"}',
     '{"schema": 2, "group": 3, "status": "completed", "events": []}',
     '{"schema": 2, "group": "se2", "status": "completed", "events": [{"t": 0}]}',
+    '{"schema": 3, "group": "se2", "agents": 1, "status": "completed", "events": [], '
+    '"aux_is_xi": ["xi"]}',
 ], ids=["not-json", "not-an-object", "schema-1", "text-manifest", "no-group", "no-status",
-        "no-events", "group-not-a-name", "event-without-its-keys"])
+        "no-events", "group-not-a-name", "event-without-its-keys", "xi-named-with-columns"])
 def test_cmd_check_malformed_manifest_exits_with_usage(tmp_path, capsys, text):
     out = tmp_path / "run"
     assert cli.main(["run", "scenarios/se2_single_rest.ini", "--t-end", "0.5",
                      "--out", str(out)]) == 0
+    _with_aux_xi_columns(out / "trajectory.csv")    # columns for an aux field xi
     (out / "manifest.txt").write_text(text)
     assert cli.main(["check", str(out), "--mode", "lic"]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
@@ -763,3 +766,71 @@ def test_metrics_need_the_manifest_agent_count(tmp_path, capsys, agents):
     (out / "manifest.txt").write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match="metrics"):
         cli.load_run(out)
+
+
+@pytest.mark.parametrize("agents", [2, 4])
+def test_load_run_checks_the_manifest_agent_count(tmp_path, capsys, agents):
+    # without metrics.csv, whose header would catch it, only the trajectory can
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1).replace("ric_consensus", "lic_consensus"))
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    (out / "manifest.txt").write_text(json.dumps(dict(manifest, agents=agents)))
+    (out / "metrics.csv").unlink()
+    with pytest.raises(ConfigError, match=f"trajectory has 3 agents, not {agents}"):
+        cli.load_run(out)
+    assert cli.main(["check", str(out), "--mode", "lic"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("name", ["se2_single_rest", "so3_tc_cascade", "se3_steering_linear",
+                                  "se3_steering_helical"])
+def test_load_run_returns_the_config_of_each_scenario_file(tmp_path, name):
+    out = tmp_path / "run"
+    assert cli.main(["run", f"scenarios/{name}.ini", "--t-end", "0.1", "--out", str(out)]) == 0
+    loaded, manifest = cli.load_run(out)
+    assert loaded.config.config_hash() == manifest["config_hash"]
+    assert loaded.config.record() == manifest["config"]
+    simulator.write_manifest(loaded, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_text() == (out / "manifest.txt").read_text()
+    # the rebuilt config runs the same trajectory again
+    rerun = simulator.run(loaded.config)
+    assert rerun.times.tobytes() == loaded.times.tobytes()
+    assert rerun.xi.tobytes() == loaded.xi.tobytes()
+    assert rerun.group.to_payload(rerun.g).tobytes() == loaded.group.to_payload(loaded.g).tobytes()
+
+
+def _with_aux_xi_columns(path):
+    """Give an SE(2) trajectory file aux.xi columns that repeat its xi text, as
+    schema-2 files of a velocity law have them."""
+    head, *rows = path.read_text().splitlines()
+    assert head.endswith(",xi0,xi1,xi2")
+    path.write_text("\n".join([head + ",aux.xi0,aux.xi1,aux.xi2"]
+                              + [row + "," + row.split(",", 5)[5] for row in rows]) + "\n")
+
+
+def test_schema_2_directory_reloads_its_aux_xi_columns(tmp_path):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    assert "aux.xi0" not in (out / "trajectory.csv").read_text().splitlines()[0]
+    loaded, manifest = cli.load_run(out)
+    assert manifest["aux_is_xi"] == ["xi"] and loaded.aux["xi"] is loaded.xi
+    _with_aux_xi_columns(out / "trajectory.csv")
+    del manifest["aux_is_xi"]
+    (out / "manifest.txt").write_text(json.dumps(dict(manifest, schema=2)))
+    old, _ = cli.load_run(out)
+    assert old.aux["xi"].tobytes() == old.xi.tobytes() == loaded.xi.tobytes()
+    assert old.g.tobytes() == loaded.g.tobytes() and old.times.tobytes() == loaded.times.tobytes()
+
+
+@pytest.mark.parametrize("change, columns, message", [
+    ({"schema": 2}, False, "schema"),                 # schema 2 names no field
+    ({"aux_is_xi": "xi"}, False, "aux_is_xi"),
+    ({"aux_is_xi": [1]}, False, "aux_is_xi"),
+    ({"aux_is_xi": ["xi"]}, True, "'xi' is named as xi"),
+], ids=["schema-2-with-the-key", "not-a-list", "not-names", "named-field-with-columns"])
+def test_aux_is_xi_must_name_fields_without_columns(tmp_path, capsys, change, columns, message):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    if columns:
+        _with_aux_xi_columns(out / "trajectory.csv")
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    (out / "manifest.txt").write_text(json.dumps(dict(manifest, **change)))
+    with pytest.raises(ConfigError, match=message):
+        cli.load_run(out)
+    assert cli.main(["check", str(out), "--mode", "ric"]) == cli.EXIT_USAGE

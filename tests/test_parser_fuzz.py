@@ -116,14 +116,16 @@ def test_read_trajectory_csv_raises_typed_errors_only(tmp_path, group_name, data
 
 _EVENT = {"t": 0.5, "kind": "blowup", "agent": None, "detail": "d", "count": 1}
 _MANIFEST_VALUES = st.one_of(
-    st.sampled_from([None, True, 0, 1, 2, 2.0, -1, float("nan"), "", "se2", "so3", "SE2",
-                     "x", "completed", "aborted", [], {}, [1], [_EVENT], [[]]]),
+    st.sampled_from([None, True, 0, 1, 2, 2.0, 3, -1, float("nan"), "", "se2", "so3", "SE2",
+                     "x", "xi", "completed", "aborted", [], {}, [1], [_EVENT], [[]],
+                     ["xi"], ["eta"], ["xi", "eta"], ["xi", "xi"], ["xi", 1]]),
     st.lists(st.dictionaries(st.sampled_from(sorted(_EVENT) + ["x"]),
                              st.sampled_from([None, 0, 1.5, "blowup", [], {}]), max_size=6),
              max_size=2),
 )
-_MANIFEST_BASE = {"schema": 2, "group": "se2", "agents": 1, "config_hash": None,
-                  "config": None, "status": "completed", "events": [_EVENT]}
+_MANIFEST_BASE = {"schema": 3, "group": "se2", "agents": 1, "config_hash": None,
+                  "config": None, "status": "completed", "events": [_EVENT],
+                  "aux_is_xi": ["xi"]}
 _SE2_TRAJECTORY = "t,agent,x,y,theta,xi0,xi1,xi2\n" + "".join(
     f"{t},0,0,0,0,0,0,0\n" for t in (0.0, 0.5, 1.0))
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liecoord import simulator
+from liecoord import cli, simulator
 from liecoord.controllers import ControlSetting, build_controller
 from liecoord.graphs import CommGraph
 from liecoord.groups import SE2, SE3, SO3, so3_exp
@@ -748,8 +748,9 @@ def _ref_fmt(x):
 
 def _ref_write_trajectory_csv(traj, path):
     group = traj.group
+    aux = {name: arr for name, arr in traj.aux.items() if arr is not traj.xi}
     header = (["t", "agent"] + list(group.payload_columns)
-              + [f"xi{i}" for i in range(group.dim)] + aux_columns(traj.aux))
+              + [f"xi{i}" for i in range(group.dim)] + aux_columns(aux))
     payload = group.to_payload(traj.g)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
@@ -758,7 +759,7 @@ def _ref_write_trajectory_csv(traj, path):
                 row = [_ref_fmt(traj.times[s]), str(k)]
                 row += [_ref_fmt(v) for v in payload[s, k]]
                 row += [_ref_fmt(v) for v in traj.xi[s, k]]
-                for arr in traj.aux.values():
+                for arr in aux.values():
                     row += [_ref_fmt(v) for v in arr[s, k]]
                 f.write(",".join(row) + "\n")
 
@@ -833,9 +834,10 @@ def test_block_writers_match_per_value_writers_byte_for_byte(tmp_path, group, n,
                   ",inf,", ",nan,"):
         assert token in text or samples == 0
     if aux_xi is not None:
-        _, _, xi, aux = read_trajectory_csv(tmp_path / "trajectory.csv", group.name)
-        assert (aux["xi"] is xi) == (aux_xi != "aux_is_xi_but_negative_zero")
-        assert aux["xi"].tobytes() == traj.aux["xi"].tobytes()
+        write_manifest(traj, tmp_path / "manifest.txt")
+        loaded, _ = cli.load_run(tmp_path)
+        assert (loaded.aux["xi"] is loaded.xi) == (aux_xi != "aux_is_xi_but_negative_zero")
+        assert loaded.aux["xi"].tobytes() == traj.aux["xi"].tobytes()
 
 
 def test_metrics_csv_header_and_manifest(tmp_path):
@@ -849,7 +851,7 @@ def test_metrics_csv_header_and_manifest(tmp_path):
     man = tmp_path / "manifest.txt"
     write_manifest(traj, man)
     parsed = read_manifest(man)
-    assert parsed["schema"] == 2
+    assert parsed["schema"] == 3
     assert parsed["group"] == "se2"
     assert parsed["agents"] == 3
     assert parsed["status"] == "completed"
@@ -857,15 +859,21 @@ def test_metrics_csv_header_and_manifest(tmp_path):
     assert read_manifest(man)["config"]["seed"] == 1
     assert parsed["config"] == cfg.record()
     assert parsed["events"] == []
+    assert parsed["aux_is_xi"] == ["xi"]       # ric_consensus commands its own aux xi
+
+
+def _every_field_cfg():
+    g0 = SE2.make(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0.5, -0.5]))
+    return _cfg(n_agents=2, graph=CommGraph(2, [(0.0, {(0, 1)}), (0.5, {(1, 0)})], period=1.0),
+                controller="underactuated_lic", control=ControlSetting.se2_steering(),
+                controller_params={"monitor_tol": 1e-6, "label": "x"},
+                init=InitSpec(kind="explicit", g0=g0, aux0={"eta": np.ones((2, 3))}),
+                stop_metric="V_tl", stop_below=1e-9)
 
 
 def test_config_record_is_plain_data_of_every_field():
-    g0 = SE2.make(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0.5, -0.5]))
-    cfg = _cfg(n_agents=2, graph=CommGraph(2, [(0.0, {(0, 1)}), (0.5, {(1, 0)})], period=1.0),
-               controller="underactuated_lic", control=ControlSetting.se2_steering(),
-               controller_params={"monitor_tol": 1e-6, "label": "x"},
-               init=InitSpec(kind="explicit", g0=g0, aux0={"eta": np.ones((2, 3))}),
-               stop_metric="V_tl", stop_below=1e-9)
+    cfg = _every_field_cfg()
+    g0 = cfg.init.g0
     rec = cfg.record()
     assert json.loads(json.dumps(rec)) == rec
     assert rec["graph"] == {"n": 2, "breakpoints": [0.0, 0.5], "period": 1.0,
@@ -880,6 +888,90 @@ def test_config_record_is_plain_data_of_every_field():
                     replace(cfg, init=replace(cfg.init, aux0={"eta": np.zeros((2, 3))})),
                     replace(cfg, stop_below=1e-8), replace(cfg, aux_integrator="rk4")):
         assert changed.config_hash() != cfg.config_hash()
+
+
+def test_config_rebuilds_from_its_record():
+    cfg = _every_field_cfg()
+    rebuilt = ScenarioConfig.from_record(cfg.record())
+    assert rebuilt.record() == cfg.record() and rebuilt.config_hash() == cfg.config_hash()
+    assert rebuilt.graph.breakpoints == (0.0, 0.5) and rebuilt.graph.period == 1.0
+    assert [edges_at(rebuilt.graph, t) for t in (0.2, 0.7, 1.2)] == [{(0, 1)}, {(1, 0)}, {(0, 1)}]
+    assert isinstance(rebuilt.control, ControlSetting)
+    assert np.array_equal(rebuilt.control.B, cfg.control.B)
+    assert rebuilt.init.g0.tobytes() == cfg.init.g0.tobytes()
+    assert rebuilt.init.aux0["eta"].tobytes() == cfg.init.aux0["eta"].tobytes()
+    assert rebuilt.controller_params == cfg.controller_params
+    params = ScenarioConfig.from_record(_cfg(controller_params={"xi": [1.0, 0.0, 0.5]}).record())
+    assert params.controller_params["xi"].tolist() == [1.0, 0.0, 0.5]
+
+
+def _reload_of(tmp_path, cfg):
+    """load_run of a directory holding cfg's manifest and no samples."""
+    n = cfg.n_agents
+    metrics = {name: np.zeros(0) for name in METRIC_NAMES}
+    metrics["V_k"] = np.zeros((0, n))
+    traj = Trajectory(cfg.group, np.zeros(0), np.zeros((0, n, 3)), np.zeros((0, n, 3)),
+                      {"eta": np.zeros((0, n, 3))}, metrics, [], True, config=cfg)
+    cli._write_run(traj, tmp_path)
+    return cli.load_run(tmp_path)
+
+
+def test_load_run_returns_the_config_of_every_field(tmp_path):
+    cfg = _every_field_cfg()
+    loaded, manifest = _reload_of(tmp_path, cfg)
+    assert loaded.config.config_hash() == manifest["config_hash"] == cfg.config_hash()
+    assert loaded.config.record() == cfg.record()
+    # writing the reloaded run's manifest again keeps its config
+    write_manifest(loaded, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_text() == (tmp_path / "manifest.txt").read_text()
+
+
+def test_load_run_of_a_manifest_without_config_has_none(tmp_path):
+    _reload_of(tmp_path, _every_field_cfg())
+    man = json.loads((tmp_path / "manifest.txt").read_text())
+    (tmp_path / "manifest.txt").write_text(json.dumps(dict(man, config=None, config_hash=None)))
+    loaded, _ = cli.load_run(tmp_path)
+    assert loaded.config is None
+    write_manifest(loaded, tmp_path / "again.txt")
+    assert read_manifest(tmp_path / "again.txt")["config"] is None
+
+
+def _drop(key):
+    def edit(rec):
+        del rec[key]
+    return edit
+
+
+def _set(*path, value):
+    def edit(rec):
+        node = rec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("graph"), "does not build"),
+    (_set("graph", "edge_sets", value=[[[0, 5]], [[1, 0]]]), "does not build"),
+    (_set("graph", "breakpoints", value=[0.5, 0.0]), "does not build"),
+    (_set("control", "B", value=[[1.0], [1.0], [0.0]]), "does not build"),
+    (_set("init", "aux0", value=[1.0]), "does not build"),
+    (_set("init", "spin", value=1.0), "does not build"),
+    (_set("turbo", value=True), "does not build"),
+    (_set("graph", value="ring"), "does not build"),
+    (_set("seed", value=2), "config_hash"),
+    (_drop("stop_below"), "config_hash"),
+], ids=["no-graph", "edge-out-of-range", "breakpoints-decrease", "control-not-orthonormal",
+        "aux0-not-a-table", "unknown-init-key", "unknown-key", "graph-not-a-table",
+        "seed-changed", "field-left-out"])
+def test_load_run_of_a_config_that_does_not_rebuild_is_a_config_error(tmp_path, edit, message):
+    _reload_of(tmp_path, _every_field_cfg())
+    man = json.loads((tmp_path / "manifest.txt").read_text())
+    edit(man["config"])
+    (tmp_path / "manifest.txt").write_text(json.dumps(man))
+    with pytest.raises(ConfigError, match=message):
+        cli.load_run(tmp_path)
 
 
 def test_config_hash_tracks_content():
