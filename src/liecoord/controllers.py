@@ -381,6 +381,7 @@ class ControllerSpec:
     default_aux: Callable | None = None  # (c, agents, rng, scale) -> aux, overriding start
     validate: Callable | None = None     # (c, aux0) -> None, after the shape checks
     eta: Callable = _aux_eta       # (c, state) -> auxiliary velocity for the metrics, or None
+    xi_aux: str | None = None      # the aux field that is the commanded velocity xi
 
 
 def _check_param(name, key, kind, value, dim):
@@ -488,11 +489,11 @@ def _constant(c, state, graph):
 
 
 def _velocity_law(rhs):
-    """Spec RHS of a law whose auxiliary state is the commanded velocity xi."""
+    """Spec of a law whose auxiliary state is the commanded velocity xi."""
     def output(c, state, graph):
         xi = state.aux["xi"]
         return ControllerOutput(xi.copy(), {"xi": rhs(c.group, state.g, xi, graph, state.t)})
-    return output
+    return ControllerSpec(output, (("xi", None, None),), xi_aux="xi")
 
 
 def _vt_gradient_rhs(group, g, xi, graph, t):
@@ -585,16 +586,14 @@ def _helical_eta(c, state):
     return helical_body_velocity(state.aux["alpha"], state.aux["beta"], state.aux["gamma"])
 
 
-_XI = (("xi", None, None),)
 _ETA = (("eta", None, None),)
 
 CONTROLLERS = {
     "zero": ControllerSpec(_constant),
     "constant": ControllerSpec(_constant, params=(("xi", "algebra"),)),
-    "ric_consensus": ControllerSpec(
-        _velocity_law(lambda group, g, xi, graph, t: ric_consensus_rhs(xi, graph, t)), _XI
-    ),
-    "lic_consensus": ControllerSpec(_velocity_law(lic_consensus_rhs), _XI),
+    "ric_consensus": _velocity_law(
+        lambda group, g, xi, graph, t: ric_consensus_rhs(xi, graph, t)),
+    "lic_consensus": _velocity_law(lic_consensus_rhs),
     "tc_right_cascade": ControllerSpec(_tc_right_cascade, _ETA, check=_fully_actuated),
     # the position-control stage alone against a pinned spatial reference
     "tc_right_frozen": ControllerSpec(
@@ -617,7 +616,7 @@ CONTROLLERS = {
         groups=("se3",), cs=ControlSetting.se3_steering, eta=_helical_eta,
     ),
     # experimental: observed to collapse to xi = 0; no convergence claim
-    "experimental_vt_gradient": ControllerSpec(_velocity_law(_vt_gradient_rhs), _XI),
+    "experimental_vt_gradient": _velocity_law(_vt_gradient_rhs),
 }
 
 

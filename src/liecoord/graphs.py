@@ -5,10 +5,12 @@ piecewise constant: breakpoints t_0 = 0 < t_1 < ... with one edge set per
 segment; an optional period makes the schedule repeat.  Graphs are immutable
 after construction.
 
-Each segment keeps its edges in two forms, both built once at construction:
-index arrays (src, dst) sorted by (dst, src), which the disagreement metrics
-sum over in O(E n), and the dense in-matrix built from them, which the
-controllers' per-step neighbour sums multiply with (see controllers).
+Each segment keeps its edges in two forms: index arrays (src, dst) sorted by
+(dst, src), built at construction, which the disagreement metrics sum over in
+O(E n); and the dense in-matrix and in-degrees, which the controllers'
+per-step neighbour sums multiply with (see controllers), built from them the
+first time in_terms or in_matrix asks for that segment.  So a graph that no
+law steps with, such as the config of a reloaded run, holds no N x N array.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ class CommGraph:
         if self.period is not None and self.period <= times[-1]:
             raise GraphError("period must exceed the last breakpoint")
         self._edges = tuple(_edge_arrays(es) for es in self.edge_sets)
-        self._matrices = [self._build_matrix(src, dst) for src, dst in self._edges]
-        self._degrees = [A.sum(axis=1) for A in self._matrices]
+        self._dense = [None] * len(self._edges)     # per segment, (in-matrix, in-degrees)
 
     # -- constructors ---------------------------------------------------------
 
@@ -93,11 +94,6 @@ class CommGraph:
             t %= self.period
         return max(bisect_right(self.breakpoints, t) - 1, 0)
 
-    def _build_matrix(self, src, dst):
-        A = np.zeros((self.n, self.n))
-        A[dst, src] = 1.0
-        return A
-
     def edge_arrays(self, t=0.0):
         """Index arrays (src, dst) of the edges active at time t, sorted by
         (dst, src); edge e runs from agent src[e] to agent dst[e]."""
@@ -105,12 +101,19 @@ class CommGraph:
 
     def in_matrix(self, t=0.0):
         """Matrix A with A[k, j] = 1 iff j sends to k at time t."""
-        return self._matrices[self._segment_index(t)]
+        return self.in_terms(t)[0]
 
     def in_terms(self, t=0.0):
-        """Neighbor matrix and in-degree vector at time t."""
+        """Neighbor matrix and in-degree vector at time t, the same objects
+        at every call for one segment."""
         i = self._segment_index(t)
-        return self._matrices[i], self._degrees[i]
+        terms = self._dense[i]
+        if terms is None:
+            src, dst = self._edges[i]
+            A = np.zeros((self.n, self.n))
+            A[dst, src] = 1.0
+            terms = self._dense[i] = A, A.sum(axis=1)
+        return terms
 
     @property
     def is_static(self):

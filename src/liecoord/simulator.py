@@ -20,11 +20,17 @@ metrics.csv and a manifest: one JSON object holding the config as plain data
 events, so that a reload keeps them, its config and its metrics.  In the CSV
 files "#" starts no comment: a line or cell holding one is a malformed row.
 
-Each recorded value is held and written once.  An aux field whose samples
-are the recorded velocity bit for bit (the aux xi of a velocity law, which
-commands its own state) is the Trajectory's xi array itself; it has no
+Each recorded value is held and written once.  The aux field that a law's
+spec names as its commanded velocity (the aux xi of a velocity law) has no
+record of its own: it is the Trajectory's xi array itself, it has no
 columns, the manifest names it in "aux_is_xi", and a reload sets it to the
-reloaded xi.  A reload holds arrays of its own, not views of the parsed text.
+reloaded xi.  Any other aux field keeps its columns, also where its values
+equal xi.
+
+Export and reload go CSV_BLOCK_ROWS rows at a time: the writer formats a
+block built from slices of the recorded arrays, and the reader parses a
+block into arrays sized by the file's line ends.  So neither holds the whole
+table as text or as one float matrix, and a reload holds arrays of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -43,7 +48,7 @@ from .controllers import ControlSetting, build_controller
 from .graphs import CommGraph
 
 BLOWUP_NORM = 1e12
-CSV_BLOCK_ROWS = 256           # rows per format call in the CSV writers
+CSV_BLOCK_ROWS = 256           # rows per format call in the writers and per parse in the reader
 MANIFEST_SCHEMA = 3
 
 METRIC_NAMES = ("V_r", "V_l", "V_tr", "V_tl")
@@ -294,14 +299,6 @@ def _all_finite(x):
     return count_nonzero(np.isfinite(x)) == x.size
 
 
-def _same_bits(a, b):
-    """Whether two float arrays have one shape and the same bits, so that
-    -0.0 differs from 0.0 and a NaN payload counts.  Bytes, not int64 views:
-    the first use of numpy's integer comparison maps about 0.3 MB more of its
-    library into the process."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _nonfinite_detail(group, g, xi):
     """Blowup detail naming the agents whose position, or else velocity, is
     not finite."""
@@ -339,6 +336,7 @@ def run(cfg):
                                   params=cfg.controller_params)
     rng = np.random.default_rng(cfg.seed)
     state = _initial_state(cfg, group, controller, rng)
+    xi_aux = controller.spec.xi_aux     # recorded once, as xi
 
     n_steps = round(cfg.t_end / cfg.h)
     s_max = math.ceil(n_steps / cfg.record_every) + 1
@@ -347,7 +345,7 @@ def run(cfg):
         g_rec = np.zeros((s_max, cfg.n_agents) + group.element_shape)
         xi_rec = np.zeros((s_max, cfg.n_agents, group.dim))
         aux_rec = {
-            k: np.zeros((s_max,) + v.shape) for k, v in state.aux.items()
+            k: np.zeros((s_max,) + v.shape) for k, v in state.aux.items() if k != xi_aux
         }
         metric_rec = {name: np.zeros(s_max) for name in METRIC_NAMES}
         metric_rec["V_k"] = np.zeros((s_max, cfg.n_agents))
@@ -407,7 +405,7 @@ def run(cfg):
         times=times[:s],
         g=g_rec[:s],
         xi=xi,
-        aux={k: xi if _same_bits(v[:s], xi) else v[:s] for k, v in aux_rec.items()},
+        aux={k: xi if k == xi_aux else aux_rec[k][:s] for k in state.aux},
         metrics={k: v[:s] for k, v in metric_rec.items()},
         events=events,
         completed=all(e.kind != "blowup" for e in events),
@@ -443,19 +441,20 @@ def aux_columns(aux):
     return cols
 
 
-def _write_rows(path, header, cells, tails):
-    """Write a header line and snapshots of len(tails) rows, whole snapshots
-    and about CSV_BLOCK_ROWS rows per %-format call, which bounds the Python
-    floats and text alive at a time.  Row s of cells is snapshot s: its time,
-    formatted once and copied to each of its rows, then its rows' values.
-    tails[j] is the text of row j after the time, with "%.17g" per value."""
+def _write_rows(path, header, samples, tails, cells):
+    """Write a header line and samples snapshots of len(tails) rows, whole
+    snapshots and about CSV_BLOCK_ROWS rows per %-format call, which bounds the
+    arrays, Python floats and text alive at a time.  cells(sl) builds the
+    snapshots sl as rows of cells: row s is a snapshot, its time, formatted
+    once and copied to each of its rows, then its rows' values.  tails[j] is
+    the text of row j after the time, with "%.17g" per value."""
     per = max(1, CSV_BLOCK_ROWS // len(tails))
     # "\0" starts a snapshot, and "\x02" stands for its time in its later rows
     template = "\0%.17g" + tails[0] + "".join("\x02" + t for t in tails[1:])
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for lo in range(0, len(cells), per):
-            block = cells[lo:lo + per]
+        for lo in range(0, samples, per):
+            block = cells(slice(lo, lo + per))
             for snapshot in (template * len(block) % tuple(block.ravel().tolist())).split("\0")[1:]:
                 f.write(snapshot.replace("\x02", snapshot[:snapshot.index(",")]))
 
@@ -463,17 +462,23 @@ def _write_rows(path, header, cells, tails):
 def write_trajectory_csv(traj, path):
     """One row per agent and snapshot, snapshot by snapshot with agent ids
     0..N-1 in order: t, agent, pose payload, xi, aux; "%.17g" per value.  t is
-    formatted once per snapshot and the ids once per file.  An aux field that
-    is traj.xi (a velocity law's aux xi) has no columns, and the manifest names
-    it: a 256-agent SE(3) lic_consensus row holds 20 columns, not 26."""
+    formatted once per snapshot and the ids once per file.  A block of
+    snapshots is built from slices of the recorded arrays at a time, so the
+    whole table is never held.  An aux field that is traj.xi (a velocity law's
+    aux xi) has no columns, and the manifest names it: a 256-agent SE(3)
+    lic_consensus row holds 20 columns, not 26."""
     group = traj.group
-    s, n = len(traj.times), traj.n_agents
     aux = {k: v for k, v in traj.aux.items() if v is not traj.xi}
-    body = np.concatenate([group.to_payload(traj.g), traj.xi, *aux.values()], axis=-1, dtype=float)
-    cells = np.column_stack([traj.times, body.reshape(s, n * body.shape[-1])])
-    tail = ",%.17g" * body.shape[-1] + "\n"
-    _write_rows(path, _trajectory_columns(group) + aux_columns(aux), cells,
-                [f",{k}{tail}" for k in range(n)])
+    header = _trajectory_columns(group) + aux_columns(aux)
+
+    def cells(sl):
+        body = np.concatenate([group.to_payload(traj.g[sl]), traj.xi[sl],
+                               *(v[sl] for v in aux.values())], axis=-1, dtype=float)
+        return np.column_stack([traj.times[sl], body.reshape(len(body), -1)])
+
+    tail = ",%.17g" * (len(header) - 2) + "\n"
+    _write_rows(path, header, len(traj.times), [f",{k}{tail}" for k in range(traj.n_agents)],
+                cells)
 
 
 def _metrics_header(n_agents):
@@ -482,8 +487,10 @@ def _metrics_header(n_agents):
 
 def write_metrics_csv(traj, path):
     header = _metrics_header(traj.n_agents)
-    cells = np.column_stack([traj.times, *map(traj.metrics.get, METRIC_NAMES), traj.metrics["V_k"]])
-    _write_rows(path, header, cells, [",%.17g" * (len(header) - 1) + "\n"])
+    m = traj.metrics
+    _write_rows(path, header, len(traj.times), [",%.17g" * (len(header) - 1) + "\n"],
+                lambda sl: np.column_stack([traj.times[sl], *(m[k][sl] for k in METRIC_NAMES),
+                                            m["V_k"][sl]]))
 
 
 def write_manifest(traj, path):
@@ -523,9 +530,6 @@ def read_manifest(path):
     return man
 
 
-_AUX_COLUMN = re.compile(r"^aux\.(.*?)\d+$")
-
-
 def _read_csv(path, what):
     """The header cells and the rows (a float array of one column per cell) of
     a CSV file; "#" starts no comment, so a line or cell holding one is a
@@ -548,52 +552,115 @@ def _read_csv(path, what):
     return header, data
 
 
+def _aux_layout(header, start):
+    """{field: (first, end)} of the aux columns header[start:]: each field's
+    columns are aux.<field>0 .. aux.<field>{d-1}, together and in order, and
+    no field comes twice.  Any other column is a ConfigError."""
+    layout, i = {}, start
+    while i < len(header):
+        name = header[i][4:-1]
+        if not (header[i] == f"aux.{name}0" and name) or name in layout:
+            raise ConfigError(f"unexpected trajectory column {header[i]!r}")
+        end = i + 1
+        while end < len(header) and header[end] == f"aux.{name}{end - i}":
+            end += 1
+        layout[name], i = (i, end), end
+    return layout
+
+
+def _line_bound(path):
+    """A bound on the lines of a text file: its bytes of code 13 or less (LF
+    and CR among them, so a CR LF counts twice), and one more for a last line
+    that ends in none.  numpy counts them, a block of bytes at a time."""
+    n, last = 0, 10
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            b = np.frombuffer(chunk, np.uint8)
+            n += count_nonzero(b <= 13)
+            last = b[-1]
+    return n + (last > 13)
+
+
 def read_trajectory_csv(path, group_name, n_agents=None):
     """Rebuild (times, g, xi, aux) from an exported trajectory file; aux holds
     the aux fields that have columns, each an array that owns its memory.
 
-    A file without rows (a run that ended before its first sample) is read as
-    no samples of n_agents agents, and is a ConfigError without n_agents.
-    A file with rows of another agent count than a given n_agents is a
-    ConfigError too.
+    The arrays are sized by the file's line ends, and numpy parses the rows
+    into them CSV_BLOCK_ROWS at a time from one open handle, so a reload
+    holds one block of text and numbers besides what it returns.  The rows
+    follow _read_csv's rules.  A file without rows (a run that ended before
+    its first sample) is read as no samples of n_agents agents, and is a
+    ConfigError without n_agents.  A file with rows of another agent count
+    than a given n_agents is a ConfigError too.
     """
     group = get_group(group_name)
-    header, data = _read_csv(path, "trajectory")
     n_payload = len(group.payload_columns)
     want = _trajectory_columns(group)
-    if header[: len(want)] != want:
-        raise ConfigError(f"unexpected trajectory header for group {group_name}")
-    first, end = {}, {}     # per aux field, the range of its columns
-    for i, col in enumerate(header[len(want):], len(want)):
-        m = _AUX_COLUMN.match(col)
-        if m is None:
-            raise ConfigError(f"unexpected trajectory column {col!r}")
-        first.setdefault(m.group(1), i)
-        end[m.group(1)] = i + 1
-    if len(data) == 0:
+    rows = _line_bound(path) - 1        # the header takes a line
+    with open(path) as f:
+        try:
+            header = f.readline().rstrip("\n").split(",")
+        except ValueError as e:     # bytes that are not text
+            raise ConfigError(f"malformed trajectory row: {e}") from e
+        if header[: len(want)] != want:
+            raise ConfigError(f"unexpected trajectory header for group {group_name}")
+        layout = _aux_layout(header, len(want))
+        try:
+            lead = np.empty((rows, 2))      # t and agent id of each row, for the checks
+            g = np.empty((rows,) + group.element_shape)
+            xi = np.empty((rows, group.dim))
+            aux = {name: np.empty((rows, end - first)) for name, (first, end) in layout.items()}
+        except (ValueError, MemoryError):
+            raise ConfigError(f"trajectory: {rows} rows cannot be allocated") from None
+        spans = [(lead, 0, 2), (xi, 2 + n_payload, len(want))]
+        spans += [(aux[name], first, end) for name, (first, end) in layout.items()]
+        r = 0
+        with warnings.catch_warnings():
+            # numpy warns of a block without rows, which ends the file
+            warnings.simplefilter("ignore", UserWarning)
+            while r < rows:
+                ask = min(CSV_BLOCK_ROWS, rows - r)
+                try:
+                    block = np.loadtxt(f, delimiter=",", ndmin=2, comments=None,
+                                       max_rows=ask)
+                except ValueError as e:
+                    raise ConfigError(f"malformed trajectory row: {e} "
+                                      f"(numpy counts rows from data row {r})") from e
+                if len(block) == 0:
+                    break
+                if block.shape[1] != len(header):
+                    raise ConfigError(f"trajectory rows have {block.shape[1]} columns, "
+                                      f"its header {len(header)}")
+                g[r:r + len(block)] = group.from_payload(block[:, 2:2 + n_payload])
+                for arr, first, end in spans:
+                    arr[r:r + len(block)] = block[:, first:end]
+                r += len(block)
+                if len(block) < ask:      # the file ended before its bound
+                    break
+    if r == 0:
         if not (type(n_agents) is int and n_agents >= 1):
             raise ConfigError(f"trajectory has no rows and {n_agents!r} agents")
-        data = data.reshape(0, n_agents, len(header))
+        s, n = 0, n_agents
     else:
         # rows go snapshot by snapshot, agent ids 0..N-1 in order, one time each
-        s = int(np.count_nonzero(data[:, 1] == 0))
-        if s == 0 or len(data) % s:
+        s = int(np.count_nonzero(lead[:r, 1] == 0))
+        if s == 0 or r % s:
             raise ConfigError("trajectory rows are not a whole number of snapshots")
-        data = data.reshape(s, len(data) // s, -1)
-    n = data.shape[1]
+        n = r // s
     if n_agents is not None and not (type(n_agents) is int and n_agents == n):
         raise ConfigError(f"trajectory has {n} agents, not {n_agents!r}")
-    bad = np.any(data[:, :, 1] != np.arange(n), axis=1)
+    lead = lead[:r].reshape(s, n, 2)
+    bad = np.any(lead[:, :, 1] != np.arange(n), axis=1)
     if np.any(bad):
         raise ConfigError(f"agent ids of snapshot {int(np.argmax(bad))} are not 0..{n - 1} in order")
-    times = data[:, 0, 0]
-    bad = np.any(data[:, :, 0] != times[:, None], axis=1)
+    times = lead[:, 0, 0].copy()
+    bad = np.any(lead[:, :, 0] != times[:, None], axis=1)
     if np.any(bad):
         raise ConfigError(f"times differ within snapshot {int(np.argmax(bad))}")
-    # copies, so that the parsed rows are freed on return
-    xi = data[:, :, 2 + n_payload:len(want)].copy()
-    aux = {name: data[:, :, first[name]:end[name]].copy() for name in first}
-    return times.copy(), group.from_payload(data[:, :, 2:2 + n_payload]), xi, aux
+    # in place: drop the rows that the bound left unfilled, and split the rest by snapshot
+    for arr in (g, xi, *aux.values()):
+        arr.resize((s, n) + arr.shape[1:], refcheck=False)
+    return times, g, xi, aux
 
 
 def read_metrics_csv(path, n_agents):

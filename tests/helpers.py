@@ -1,10 +1,13 @@
-"""Shared test utilities: matrix representations, finite differences, and
-the comparisons and relative positions that only the tests use.
+"""Shared test utilities: matrix representations, finite differences, the
+comparisons and relative positions that only the tests use, and the traced
+memory peak of a call.
 
 These build an independent route to the group operations (homogeneous-matrix
 conjugation, numerical differentiation of matrix curves) so the library can
 be checked against something it does not itself compute.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -112,3 +115,15 @@ def same_bits(a, b):
     """Equal shapes and bytes: unlike np.array_equal, -0.0 differs from 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def traced_peak(call):
+    """call()'s result, and the peak of the memory tracemalloc traced during
+    it above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

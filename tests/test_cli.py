@@ -16,7 +16,7 @@ from liecoord.groups import GroupError
 from liecoord.scenario import parse_scenario
 from liecoord.simulator import ConfigError, ScenarioConfig
 
-from helpers import edges_at
+from helpers import edges_at, traced_peak
 
 MINIMAL = """
 [scenario]
@@ -694,6 +694,16 @@ def test_reloaded_arrays_own_their_memory(tmp_path, group, controller):
         assert a.base is None, name
         for other, b in arrays.items():
             assert other == name or not np.shares_memory(a, b), (name, other)
+
+
+def test_load_run_allocates_no_dense_graph_matrix(tmp_path):
+    n = 1024
+    cfg = ScenarioConfig(group="so3", n_agents=n, controller="lic_consensus",
+                         graph=CommGraph.ring(n), t_end=2e-2, h=1e-2, seed=2)
+    cli._write_run(simulator.run(cfg), tmp_path)
+    (loaded, _), peak = traced_peak(lambda: cli.load_run(tmp_path))
+    assert loaded.config.config_hash() == cfg.config_hash()
+    assert peak < n * n * 8
 
 
 def _run_dir(tmp_path, text):

@@ -5,7 +5,7 @@ import pytest
 
 from liecoord.graphs import CommGraph, GraphError
 
-from helpers import in_neighbors
+from helpers import in_neighbors, traced_peak
 
 
 def test_in_neighbors_complete():
@@ -85,6 +85,20 @@ def test_edge_arrays_sorted_and_match_in_matrix():
         for j, k in want:
             A[k, j] = 1.0
         assert np.array_equal(sched.in_matrix(t), A)
+
+
+def test_dense_terms_are_built_on_first_use_and_kept():
+    n = 1024
+    sched, peak = traced_peak(lambda: CommGraph(
+        n, [(0.0, {(k, (k + 1) % n) for k in range(n)}), (1.0, {(0, 1)})], period=2.0))
+    assert peak < n * n * 8
+    for t in (0.5, 1.5):
+        A, deg = sched.in_terms(t)
+        assert sched.in_terms(t)[0] is A and sched.in_terms(t)[1] is deg
+        assert sched.in_matrix(t) is A and sched.in_terms(t + 2.0)[0] is A
+        assert np.array_equal(deg, A.sum(axis=1))
+    assert sched.in_terms(0.5)[0] is not sched.in_terms(1.5)[0]
+    assert sched.in_matrix(1.5).sum() == 1.0
 
 
 def test_undirected_flag_and_symmetry():

@@ -5,8 +5,9 @@ key = value lines added to its sections and to others; keys are each
 section's own (and a few unknown ones), values come from a pool of valid and
 malformed tokens, and free-text lines are mixed in.  The pool holds no agent
 count above 3, so no draw builds a large graph.  Trajectory files are the
-header of an export, whole or cut, with aux columns appended, followed by rows
-of numbers or of any cells.  Metrics files are built the same way, their rows
+header of an export, whole or cut, with aux columns appended (in and out of
+their layout), followed by rows of numbers or of any cells, read in blocks of
+the default size and of one row.  Metrics files are built the same way, their rows
 starting with the trajectory's times or with others, and read through
 cli.load_run next to a valid trajectory file and manifest.  Manifests are a
 valid one with keys dropped and keys set to values from a pool, as JSON text,
@@ -21,12 +22,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liecoord import cli
+from liecoord import cli, simulator
 from liecoord.controllers import ControllerError
 from liecoord.graphs import GraphError
 from liecoord.groups import GROUPS, GroupError
 from liecoord.scenario import parse_scenario
-from liecoord.simulator import METRIC_NAMES, ConfigError, Event, read_trajectory_csv
+from liecoord.simulator import (
+    CSV_BLOCK_ROWS,
+    METRIC_NAMES,
+    ConfigError,
+    Event,
+    read_trajectory_csv,
+)
 
 pytestmark = pytest.mark.usefixtures("hypothesis_without_local_constants")
 TYPED = (ConfigError, ControllerError, GraphError, GroupError)
@@ -89,12 +96,13 @@ _CELLS = _NUMBERS + ["", " ", "a", "1,", "0x1", "#", "1#2"]
 
 @FUZZ
 @given(st.sampled_from(sorted(GROUPS)), st.data())
-def test_read_trajectory_csv_raises_typed_errors_only(tmp_path, group_name, data):
+def test_read_trajectory_csv_raises_typed_errors_only(tmp_path, monkeypatch, group_name, data):
     group = GROUPS[group_name]
     header = ["t", "agent", *group.payload_columns, *(f"xi{i}" for i in range(group.dim))]
     cut = data.draw(st.integers(0, len(header)))
     extra = data.draw(st.lists(st.sampled_from(["xi0", "eta", "eta0", "eta1", "x", "7",
-                                                "aux.eta0", "aux.eta1", "aux.xi0", "aux."]),
+                                                "aux.eta0", "aux.eta1", "aux.xi0", "aux.",
+                                                "aux.beta0", "aux.eta7", "aux.0"]),
                                max_size=3))
     header = header[:cut] + extra if data.draw(st.booleans()) else header + extra
     n_cols = data.draw(st.integers(1, len(header) + 1))
@@ -107,11 +115,17 @@ def test_read_trajectory_csv_raises_typed_errors_only(tmp_path, group_name, data
     ))
     path = tmp_path / "fuzz.csv"
     path.write_text("\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
-    try:
-        times, g, xi, aux = read_trajectory_csv(path, group_name)
-    except TYPED:
-        return
-    assert np.shape(times) == (g.shape[0],) and xi.shape[:2] == g.shape[:2]
+    outcomes = []
+    for block_rows in (CSV_BLOCK_ROWS, 1):      # in blocks of the default size, and of one row
+        monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
+        try:
+            times, g, xi, aux = read_trajectory_csv(path, group_name)
+        except TYPED as e:
+            outcomes.append(type(e))
+            continue
+        assert np.shape(times) == (g.shape[0],) and xi.shape[:2] == g.shape[:2]
+        outcomes.append([a.tobytes() for a in (times, g, xi, *aux.values())])
+    assert outcomes[0] == outcomes[1]
 
 
 _EVENT = {"t": 0.5, "kind": "blowup", "agent": None, "detail": "d", "count": 1}

@@ -34,7 +34,7 @@ from liecoord.simulator import (
     write_trajectory_csv,
 )
 
-from helpers import edges_at
+from helpers import edges_at, traced_peak
 
 E1, E2, E3 = np.eye(3)
 
@@ -528,6 +528,31 @@ def test_velocity_law_records_its_velocity_once(group, controller, shared):
         assert law.output(traj.state(i), cfg.graph).xi.tobytes() == traj.xi[i].tobytes()
 
 
+@pytest.mark.parametrize("group, controller, graph", [
+    (group, controller, graph)
+    for group in ("so3", "se3")
+    for controller in ("tc_left_cascade", "tc_right_cascade", "underactuated_lic")
+    for graph in (CommGraph.empty(2), CommGraph.empty(1))
+], ids=lambda v: v.n if isinstance(v, CommGraph) else v)
+def test_an_aux_field_that_equals_xi_keeps_its_columns(tmp_path, group, controller, graph):
+    # without neighbours eta does not move, and xi = eta bit for bit; only the
+    # spec of a velocity law says that an aux field is xi
+    cs = {"so3": ControlSetting.so3_two_axis, "se3": ControlSetting.se3_steering}[group]
+    cfg = _cfg(group=group, n_agents=graph.n, controller=controller, graph=graph, t_end=0.05,
+               h=1e-2, record_every=1,
+               control=cs() if controller == "underactuated_lic" else None)
+    traj = run(cfg)
+    assert traj.aux["eta"].tobytes() == traj.xi.tobytes()
+    assert traj.aux["eta"] is not traj.xi
+    cli._write_run(traj, tmp_path)
+    assert json.loads((tmp_path / "manifest.txt").read_text())["aux_is_xi"] == []
+    header = (tmp_path / "trajectory.csv").read_text().splitlines()[0].split(",")
+    assert header[-traj.group.dim:] == [f"aux.eta{i}" for i in range(traj.group.dim)]
+    loaded, _ = cli.load_run(tmp_path)
+    assert loaded.aux["eta"] is not loaded.xi
+    assert loaded.aux["eta"].tobytes() == traj.aux["eta"].tobytes()
+
+
 def test_csv_round_trip_exact(tmp_path):
     cfg = ScenarioConfig(
         group="se3", n_agents=2, controller="se3_steering_linear",
@@ -598,15 +623,43 @@ def _hash_in_a_cell(lines):
     (_comment_line, "malformed trajectory row"),
     (_hash_in_a_cell, "malformed trajectory row"),
 ])
-def test_malformed_trajectory_csv_is_a_config_error(tmp_path, damage, message):
+def test_malformed_trajectory_csv_is_a_config_error(tmp_path, monkeypatch, damage, message):
     cfg = _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(run(cfg), path)
     lines = path.read_text().splitlines()
     damage(lines)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match=message):
+    for block_rows in (CSV_BLOCK_ROWS, 1):      # in blocks of the default size, and of one row
+        monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
+        with pytest.raises(ConfigError, match=message):
+            read_trajectory_csv(path, "se2")
+
+
+@pytest.mark.parametrize("aux_header", [
+    "aux.eta0,aux.beta0,aux.eta1",     # eta's columns are not together
+    "aux.eta7,aux.eta7",               # a field's columns start at 0, once each
+    "aux.eta1,aux.eta0",
+    "aux.eta0,aux.eta2",
+    "aux.eta0,aux.eta1,aux.eta0",      # a field twice
+    "aux.0",                           # a field without a name
+], ids=["split", "repeated", "reversed", "gap", "twice", "unnamed"])
+def test_aux_columns_out_of_layout_are_a_config_error(tmp_path, aux_header):
+    path = tmp_path / "trajectory.csv"
+    cells = ",".join(["5"] * (6 + aux_header.count(",") + 1))
+    path.write_text(f"t,agent,x,y,theta,xi0,xi1,xi2,{aux_header}\n"
+                    + "".join(f"{t},0,{cells}\n" for t in (0, 1)))
+    with pytest.raises(ConfigError, match="unexpected trajectory column"):
         read_trajectory_csv(path, "se2")
+
+
+def test_aux_columns_in_layout_reload_by_field(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_text("t,agent,x,y,theta,xi0,xi1,xi2,aux.eta0,aux.eta1,aux.beta0,aux.x10\n"
+                    "0,0,0,0,0,0,0,0,5,6,7,8\n")
+    _, _, _, aux = read_trajectory_csv(path, "se2")
+    assert {k: v.tolist() for k, v in aux.items()} == {
+        "eta": [[[5.0, 6.0]]], "beta": [[[7.0]]], "x1": [[[8.0]]]}
 
 
 def _read_without_the_last_row(tmp_path):
@@ -654,7 +707,8 @@ def test_undecodable_trajectory_csv_is_a_config_error(tmp_path):
 
 def _handle_fed_read_csv(path, what):
     """The reader that gave numpy the open text handle, which it iterates line
-    by line: the reference for the path-fed simulator._read_csv."""
+    by line: the reference for the path-fed simulator._read_csv, and a parse
+    of the whole file for read_trajectory_csv, which parses it in blocks."""
     with open(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
@@ -706,11 +760,26 @@ def test_path_fed_reader_matches_the_handle_fed_parse(tmp_path, monkeypatch, dam
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(run(cfg), path)
     path.write_bytes(damage(path.read_bytes()))
-    got = (_outcome(simulator._read_csv, path, "trajectory"),
-           _outcome(read_trajectory_csv, path, "se2"))
-    monkeypatch.setattr(simulator, "_read_csv", _handle_fed_read_csv)
-    assert got == (_outcome(_handle_fed_read_csv, path, "trajectory"),
-                   _outcome(read_trajectory_csv, path, "se2"))
+    parsed = _outcome(_handle_fed_read_csv, path, "trajectory")
+    assert _outcome(simulator._read_csv, path, "trajectory") == parsed
+    # read_trajectory_csv in one-row blocks, in blocks of the default size, and
+    # in one block of the whole file (numpy allocates a block's rows up front)
+    got = []
+    for block_rows in (1, CSV_BLOCK_ROWS, 4 * CSV_BLOCK_ROWS):
+        monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
+        got.append(_outcome(read_trajectory_csv, path, "se2"))
+    assert got[0] == got[1] == got[2]
+    # each is the whole-file parse, split by snapshot
+    if parsed == "ConfigError":
+        assert got[0] == "ConfigError"
+    else:
+        data = np.frombuffer(parsed[1][1]).reshape(parsed[1][0])
+        if got[0] != "ConfigError":
+            times, g, xi = (np.frombuffer(b).reshape(shape) for shape, b in got[0])
+            rows = data.reshape(len(times), 2, -1)
+            assert times.tobytes() == rows[:, 0, 0].tobytes()
+            assert g.tobytes() == SE2.from_payload(rows[:, :, 2:5]).tobytes()
+            assert xi.tobytes() == rows[:, :, 5:].tobytes()
 
 
 def _swap_first_snapshot_ids(lines):
@@ -838,6 +907,46 @@ def test_block_writers_match_per_value_writers_byte_for_byte(tmp_path, group, n,
         loaded, _ = cli.load_run(tmp_path)
         assert (loaded.aux["xi"] is loaded.xi) == (aux_xi != "aux_is_xi_but_negative_zero")
         assert loaded.aux["xi"].tobytes() == traj.aux["xi"].tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, CSV_BLOCK_ROWS])
+def test_round_trip_over_several_blocks_is_bit_identical(tmp_path, monkeypatch, block_rows):
+    traj = _synthetic_trajectory(SE3, 5, 3 * CSV_BLOCK_ROWS // 5 + 2, seed=4)
+    write_trajectory_csv(traj, tmp_path / "default.csv")
+    monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == (tmp_path / "default.csv").read_bytes()
+    times, g, xi, aux = read_trajectory_csv(path, "se3", 5)
+    assert len(traj.times) * traj.n_agents > 3 * block_rows
+    assert times.tobytes() == traj.times.tobytes()
+    assert SE3.to_payload(g).tobytes() == SE3.to_payload(traj.g).tobytes()
+    assert xi.tobytes() == traj.xi.tobytes()
+    assert aux.keys() == traj.aux.keys()
+    for name, arr in aux.items():
+        assert arr.base is None and arr.tobytes() == traj.aux[name].tobytes(), name
+
+
+def _ring64_run():
+    """SE(3) lic_consensus on ring(64), 101 samples: 26 writer blocks."""
+    return run(_cfg(group="se3", n_agents=64, controller="lic_consensus", graph=CommGraph.ring(64),
+                    t_end=1.0, h=1e-3, record_every=10))
+
+
+def test_trajectory_writer_holds_one_block_at_a_time(tmp_path):
+    traj = _ring64_run()
+    assert len(traj.times) / (CSV_BLOCK_ROWS // traj.n_agents) >= 8
+    cells = len(traj.times) * (1 + 18 * traj.n_agents) * 8     # t, then 12 + 6 values per agent
+    _, peak = traced_peak(lambda: write_trajectory_csv(traj, tmp_path / "trajectory.csv"))
+    assert peak < cells
+
+
+def test_trajectory_reader_holds_little_besides_what_it_returns(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(_ring64_run(), path)
+    out, peak = traced_peak(lambda: read_trajectory_csv(path, "se3"))
+    kept = sum(a.nbytes for a in out[:3]) + sum(a.nbytes for a in out[3].values())
+    assert peak < 1.25 * kept
 
 
 def test_metrics_csv_header_and_manifest(tmp_path):
