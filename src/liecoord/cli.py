@@ -236,8 +236,33 @@ def build_parser():
     return p
 
 
+_FLOAT_OPTIONS = ("--h", "--t-end", "--tol", "--window")
+
+
+def _join_negative_floats(argv):
+    """argv with each float option (or a prefix that argparse takes for one)
+    and the negative number after it joined into one word, '--tol -1e-3' into
+    '--tol=-1e-3': before Python 3.13, argparse takes a word that starts with
+    '-' for an option unless it looks like -1 or -.5, and so never passes
+    -1e-3 to the command's own check."""
+    out = []
+    for word in argv:
+        if (out and len(out[-1]) > 2 and any(o.startswith(out[-1]) for o in _FLOAT_OPTIONS)
+                and word.startswith("-")):
+            try:
+                float(word)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + word
+                continue
+        out.append(word)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_floats(argv))
     try:
         return args.fn(args)
     except (ConfigError, ControllerError, GraphError, GroupError,

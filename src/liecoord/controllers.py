@@ -7,12 +7,11 @@ neighbour sum over group actions, _neighbor_sum: the transported sum
 sum_j A[k, j] Ad_{g_k^-1 g_j} x_j, computed as Ad_{g_k}^-1 sum_j A[k, j] Ad_{g_j} x_j
 with the group's adjoint and adjoint_inv, or the plain sum sum_j A[k, j] x_j.
 The group laws transport by their own group; the steering laws on SE(3) by
-SO(3) acting through the rotation block Q of each pose.  The sum is a dense
-product with the in-matrix from CommGraph.in_terms, the cheaper form on small
-swarms only: on one OpenBLAS thread of a 2-core Xeon it takes 1.2 us at 3 or 4
-agents, where a gather and np.add.reduceat over the sorted edges take 1.7-1.8
-us, and on ring(256) with n = 6 the two are even (26-28 us).  reduceat gave the
-product's bits on complete(3) and on rings, not on complete(4).  Cross products
+SO(3) acting through the rotation block Q of each pose.  The sum is A @ x
+with the in-matrix A from CommGraph.in_terms: a sum over the sorted edges on
+large sparse graphs, and a dense product on the others, where it is faster
+(see graphs).  The two give the same bits where no agent has more than two
+in-edges, as on rings, and agree to rounding otherwise.  Cross products
 go through groups.cross3 rather than np.cross: the results are the same bit for
 bit, and at a few agents np.cross costs several times more in call overhead
 than the products themselves.
@@ -21,9 +20,10 @@ The right-hand sides take float arrays of the shapes the simulator builds and
 check nothing: they call the group kernels (groups._adjoint, ...), and the
 shapes are checked once, when a run is set up.  The helical steering law
 stacks its three components along a new leading axis, so that one transported
-sum and one cross product serve all three.  The matmul with the in-matrix
-still runs once per component, so the result is the same bit for bit; the
-stack is faster at the 4 agents of the steering scenarios, slower at hundreds.
+sum and one cross product serve all three.  Each component is still summed
+on its own (a matmul loops over the stack, and reduceat sums along the agent
+axis alone), so the result is the same bit for bit; the stack is faster at
+the 4 agents of the steering scenarios, slower at hundreds.
 
 The simulator runs the laws through CONTROLLERS, one ControllerSpec per law,
 which build_controller binds to a group, a control setting and parameters.

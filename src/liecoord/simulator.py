@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -585,9 +586,12 @@ def read_trajectory_csv(path, group_name, n_agents=None):
     """Rebuild (times, g, xi, aux) from an exported trajectory file; aux holds
     the aux fields that have columns, each an array that owns its memory.
 
-    The arrays are sized by the file's line ends, and numpy parses the rows
-    into them CSV_BLOCK_ROWS at a time from one open handle, so a reload
-    holds one block of text and numbers besides what it returns.  The rows
+    The arrays are sized by a bound on the rows, the lesser of the file's
+    line ends and its size over 2C bytes: each line of C cells, the header
+    among them, holds a character per cell, C - 1 commas and a line end
+    (which only the last line may lack).  numpy parses the rows into them
+    CSV_BLOCK_ROWS at a time from one open handle, so a reload holds one
+    block of text and numbers besides what it returns.  The rows
     follow _read_csv's rules.  A file without rows (a run that ended before
     its first sample) is read as no samples of n_agents agents, and is a
     ConfigError without n_agents.  A file with rows of another agent count
@@ -596,7 +600,6 @@ def read_trajectory_csv(path, group_name, n_agents=None):
     group = get_group(group_name)
     n_payload = len(group.payload_columns)
     want = _trajectory_columns(group)
-    rows = _line_bound(path) - 1        # the header takes a line
     with open(path) as f:
         try:
             header = f.readline().rstrip("\n").split(",")
@@ -604,6 +607,7 @@ def read_trajectory_csv(path, group_name, n_agents=None):
             raise ConfigError(f"malformed trajectory row: {e}") from e
         if header[: len(want)] != want:
             raise ConfigError(f"unexpected trajectory header for group {group_name}")
+        rows = min(_line_bound(path) - 1, os.fstat(f.fileno()).st_size // (2 * len(header)))
         layout = _aux_layout(header, len(want))
         try:
             lead = np.empty((rows, 2))      # t and agent id of each row, for the checks

@@ -342,6 +342,26 @@ def test_cmd_check_without_an_answerable_question_exits_with_usage(tmp_path, cap
     assert capsys.readouterr().err.startswith("error: " + arg[2:].partition("=")[0])
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("check", ["--tol", "-1e-3"], "tol: must be finite and > 0"),
+    ("check", ["--window", "-1E-3"], "window too short"),
+    ("check", ["--wind", "-1e-3"], "window too short"),      # argparse's prefix of --window
+    ("run", ["--h", "-1e-3"], "h: must be > 0"),
+    ("run", ["--t-end", "-2.5e+1"], "t_end: must be > 0"),
+])
+def test_negative_exponent_values_reach_the_commands_own_error(tmp_path, capsys, command,
+                                                                 args, message):
+    # argparse takes "-1e-3" after an option for an option of its own
+    out = tmp_path / "run"
+    assert cli.main(["run", "scenarios/se2_single_rest.ini", "--t-end", "0.5",
+                     "--out", str(out)]) == 0
+    where = [str(out), "--mode", "lic"] if command == "check" else [
+        "scenarios/se2_single_rest.ini", "--out", str(tmp_path / "again")]
+    capsys.readouterr()
+    assert cli.main([command, *where, *args]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
 def test_cmd_check_missing_files(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "nowhere"), "--mode", "tc"]) == cli.EXIT_FAILURE
 
@@ -703,6 +723,21 @@ def test_load_run_allocates_no_dense_graph_matrix(tmp_path):
     cli._write_run(simulator.run(cfg), tmp_path)
     (loaded, _), peak = traced_peak(lambda: cli.load_run(tmp_path))
     assert loaded.config.config_hash() == cfg.config_hash()
+    assert peak < n * n * 8
+
+
+def test_a_large_ring_runs_exports_and_reloads_without_a_dense_graph_matrix(tmp_path):
+    # a run on a large sparse graph sums over its edges: no N x N in-matrix
+    n = 4096
+    cfg = ScenarioConfig(group="se3", n_agents=n, controller="lic_consensus",
+                         graph=CommGraph.ring(n), t_end=3e-3, h=1e-3, seed=2, record_every=1)
+
+    def round_trip():
+        cli._write_run(simulator.run(cfg), tmp_path)
+        return cli.load_run(tmp_path)
+
+    (loaded, _), peak = traced_peak(round_trip)
+    assert loaded.g.shape == (4, n, 4, 4) and loaded.completed
     assert peak < n * n * 8
 
 

@@ -23,9 +23,12 @@ from liecoord.controllers import (
     underactuated_lic_rhs,
 )
 from liecoord.analysis import generate_tc_configuration
+from liecoord import graphs
 from liecoord.graphs import CommGraph
 from liecoord.groups import GROUPS, SE2, SE3, SO3, cross3, matvec, so3_exp
-from liecoord.simulator import ScenarioConfig, SwarmState, run, write_trajectory_csv
+from liecoord.simulator import (
+    ScenarioConfig, SwarmState, metric_traces, run, write_trajectory_csv,
+)
 
 from helpers import same_bits
 
@@ -921,6 +924,96 @@ def _check_stacked_batch(ctrl, group):
         assert out.events == events
         all_events += events
     return all_events
+
+
+# ---------------------------------------------------------------------------
+# the two forms of the in-matrix: the laws on an EdgeSum and on the dense matrix
+# ---------------------------------------------------------------------------
+
+def _random_directed(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return [(j, k) for j in range(n) for k in range(n) if j != k and rng.random() < p]
+
+
+_FORM_GRAPHS = {
+    # in-degree 2 everywhere: the forms agree bit for bit
+    "ring300": lambda: CommGraph.ring(300),
+    # in-degrees 0 to 6, and an empty segment
+    "directed12-scheduled": lambda: CommGraph(
+        12, [(0.0, _random_directed(12, 0.3, 37)), (0.5, [(0, 3), (3, 2)]), (0.8, [])],
+        period=1.0),
+}
+
+
+def _in_form(monkeypatch, make, edges):
+    """The graph that make builds, with every segment summed in the edge form
+    or in the dense form."""
+    monkeypatch.setattr(graphs, "EDGE_MIN_AGENTS", 1 if edges else 1 << 30)
+    monkeypatch.setattr(graphs, "EDGE_FILL", 1)
+    return make()
+
+
+def _same_or_close(got, want, bitwise):
+    assert got.shape == want.shape
+    if bitwise:
+        assert same_bits(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch2"])
+@pytest.mark.parametrize("graph_name", sorted(_FORM_GRAPHS))
+@pytest.mark.parametrize("name, group_name", _SPEC_CASES)
+def test_every_law_on_edge_sums_equals_the_dense_form(monkeypatch, name, group_name,
+                                                      graph_name, batch):
+    group = GROUPS[group_name]
+    cs, params = _run_args(name, group)
+    ctrl = build_controller(name, group, cs=cs, params=params)
+    make = _FORM_GRAPHS[graph_name]
+    rng = np.random.default_rng(36)
+    n = make().n
+    g = group.random(rng, int(np.prod(batch, dtype=int)) * n).reshape(
+        batch + (n,) + group.element_shape)
+    aux = {f: rng.standard_normal(v.shape) for f, v in ctrl.default_aux(g, rng).items()}
+    forms = {}
+    for edges in (True, False):
+        graph = _in_form(monkeypatch, make, edges)
+        assert isinstance(graph.in_terms(0.0)[0], graphs.EdgeSum) == edges
+        forms[edges] = []
+        for t in (0.2, 0.6, 0.9):
+            state = SwarmState(t, g, aux)
+            out = ctrl.output(state, graph)
+            eta = ctrl.eta_for_metrics(state)
+            metrics = {} if batch else metric_traces(group, g, out.xi, eta, graph, t, cs=ctrl.cs)
+            forms[edges].append((out, metrics, max(graph.in_terms(t)[1], default=0.0)))
+    for (got, got_metrics, top), (want, want_metrics, _) in zip(forms[True], forms[False]):
+        bitwise = top <= 2
+        _same_or_close(got.xi, want.xi, bitwise)
+        assert got.aux_dot.keys() == want.aux_dot.keys() and got.events == want.events
+        for f in want.aux_dot:
+            _same_or_close(got.aux_dot[f], want.aux_dot[f], bitwise)
+        assert got_metrics.keys() == want_metrics.keys()
+        for key in want_metrics:
+            _same_or_close(np.asarray(got_metrics[key]), np.asarray(want_metrics[key]), bitwise)
+
+
+@pytest.mark.parametrize("group_name, name, graph_name", [
+    ("se3", "lic_consensus", "ring300"),
+    ("so3", "tc_left_cascade", "directed12-scheduled"),
+])
+def test_a_run_on_edge_sums_equals_the_dense_run(monkeypatch, group_name, name, graph_name):
+    trajs = []
+    for edges in (True, False):
+        graph = _in_form(monkeypatch, _FORM_GRAPHS[graph_name], edges)
+        trajs.append(run(ScenarioConfig(group=group_name, n_agents=graph.n, controller=name,
+                                        graph=graph, t_end=2e-2, h=1e-3, seed=6,
+                                        record_every=5)))
+    got, want = trajs
+    bitwise = graph_name == "ring300"
+    for a, b in ((got.g, want.g), (got.xi, want.xi), *zip(got.aux.values(), want.aux.values())):
+        _same_or_close(a, b, bitwise)
+    for key in want.metrics:
+        _same_or_close(got.metrics[key], want.metrics[key], bitwise)
 
 
 # ---------------------------------------------------------------------------

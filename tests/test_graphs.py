@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liecoord.graphs import CommGraph, GraphError
+from liecoord.graphs import EDGE_FILL, EDGE_MIN_AGENTS, CommGraph, EdgeSum, GraphError
 
 from helpers import in_neighbors, traced_peak
 
@@ -87,18 +87,83 @@ def test_edge_arrays_sorted_and_match_in_matrix():
         assert np.array_equal(sched.in_matrix(t), A)
 
 
-def test_dense_terms_are_built_on_first_use_and_kept():
+def test_in_terms_are_built_on_first_use_and_kept_per_segment():
     n = 1024
     sched, peak = traced_peak(lambda: CommGraph(
         n, [(0.0, {(k, (k + 1) % n) for k in range(n)}), (1.0, {(0, 1)})], period=2.0))
     assert peak < n * n * 8
-    for t in (0.5, 1.5):
-        A, deg = sched.in_terms(t)
+    terms, peak = traced_peak(lambda: [sched.in_terms(t) for t in (0.5, 1.5)])
+    assert peak < n * n * 8
+    for t, (A, deg) in zip((0.5, 1.5), terms):
+        assert isinstance(A, EdgeSum)
         assert sched.in_terms(t)[0] is A and sched.in_terms(t)[1] is deg
-        assert sched.in_matrix(t) is A and sched.in_terms(t + 2.0)[0] is A
-        assert np.array_equal(deg, A.sum(axis=1))
-    assert sched.in_terms(0.5)[0] is not sched.in_terms(1.5)[0]
+        assert sched.in_terms(t + 2.0)[0] is A
+        # the dense matrix is built anew for each caller, never kept
+        dense = sched.in_matrix(t)
+        assert dense is not sched.in_matrix(t)
+        assert np.array_equal(deg, dense.sum(axis=1))
+    assert terms[0][0] is not terms[1][0]
     assert sched.in_matrix(1.5).sum() == 1.0
+
+
+@pytest.mark.parametrize("n, edges, form", [
+    (3, "complete", np.ndarray),
+    (EDGE_MIN_AGENTS - 1, "ring", np.ndarray),
+    (EDGE_MIN_AGENTS, "ring", EdgeSum),
+    (EDGE_MIN_AGENTS, "empty", EdgeSum),
+    (EDGE_MIN_AGENTS, EDGE_MIN_AGENTS ** 2 // EDGE_FILL, EdgeSum),
+    (EDGE_MIN_AGENTS, EDGE_MIN_AGENTS ** 2 // EDGE_FILL + 1, np.ndarray),
+    (EDGE_MIN_AGENTS, "complete", np.ndarray),
+])
+def test_in_terms_form_follows_the_agent_and_edge_counts(n, edges, form):
+    if edges in ("complete", "ring", "empty"):
+        graph = getattr(CommGraph, edges)(n)
+    else:
+        every = [(j, k) for k in range(n) for j in range(n) if j != k]
+        graph = CommGraph.static(n, every[:edges])
+    A, deg = graph.in_terms()
+    assert type(A) is form
+    x = np.random.default_rng(12).standard_normal((n, 3))
+    assert np.max(np.abs(A @ x - graph.in_matrix() @ x), initial=0.0) <= 1e-12 * n
+    assert deg.dtype == float and np.array_equal(deg, graph.in_matrix().sum(axis=1))
+
+
+def _random_schedule(rng, n, p):
+    """Three random directed segments, one of them empty."""
+    def edges():
+        return {(j, k) for j in range(n) for k in range(n) if j != k and rng.random() < p}
+    return CommGraph(n, [(0.0, edges()), (1.0, edges()), (2.0, set())], period=3.0)
+
+
+_SUM_GRAPHS = [
+    pytest.param(lambda rng: CommGraph.empty(1), id="one-agent"),
+    pytest.param(lambda rng: CommGraph.static(5, [(0, 1), (2, 1), (4, 3)]), id="in-degree-0"),
+    pytest.param(lambda rng: _random_schedule(rng, 7, 0.4), id="directed7-scheduled"),
+    pytest.param(lambda rng: _random_schedule(rng, 300, 0.004), id="directed300-scheduled"),
+    pytest.param(lambda rng: CommGraph.complete(16), id="complete16"),
+    pytest.param(lambda rng: CommGraph.ring(3), id="ring3"),
+    pytest.param(lambda rng: CommGraph.ring(EDGE_MIN_AGENTS), id="ring-edges"),
+    pytest.param(lambda rng: CommGraph.empty(EDGE_MIN_AGENTS), id="empty-edges"),
+]
+
+
+@pytest.mark.parametrize("batch, d", [((), 6), ((2,), 3), ((3,), 3), ((2, 2), 1)])
+@pytest.mark.parametrize("make", _SUM_GRAPHS)
+def test_edge_sum_equals_the_dense_product(make, batch, d):
+    # bit for bit where no agent has more than two in-edges, to rounding otherwise
+    rng = np.random.default_rng(13)
+    graph = make(rng)
+    for t in (0.5, 1.5, 2.5):
+        src, dst = graph.edge_arrays(t)
+        deg = np.bincount(dst, minlength=graph.n)
+        x = rng.standard_normal(batch + (graph.n, d))
+        want = graph.in_matrix(t) @ x
+        for got in (EdgeSum(src, deg) @ x, graph.in_terms(t)[0] @ x):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            if deg.max(initial=0) <= 2:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_undirected_flag_and_symmetry():

@@ -949,6 +949,19 @@ def test_trajectory_reader_holds_little_besides_what_it_returns(tmp_path):
     assert peak < 1.25 * kept
 
 
+def test_blank_lines_do_not_size_the_reader(tmp_path):
+    # a million blank lines before one row: sized by its line ends alone, the
+    # reader traced a 183 MB peak for a million rows that hold nothing
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(_cfg(group="se3", n_agents=1, controller="lic_consensus",
+                                  graph=CommGraph.empty(1), t_end=1e-3)), path)
+    header, row = path.read_bytes().splitlines(keepends=True)[:2]
+    path.write_bytes(header + b"\n" * 1_000_000 + row)
+    (times, g, xi, aux), peak = traced_peak(lambda: read_trajectory_csv(path, "se3"))
+    assert times.tolist() == [0.0] and g.shape == (1, 1, 4, 4) and xi.shape == (1, 1, 6)
+    assert peak < 10e6
+
+
 def test_metrics_csv_header_and_manifest(tmp_path):
     cfg = _cfg(t_end=0.1)
     traj = run(cfg)
