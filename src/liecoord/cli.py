@@ -23,7 +23,7 @@ from .controllers import ControllerError
 from .graphs import GraphError
 from .groups import GroupError
 from .scenario import FIELDS, parse_scenario, read_fields
-from .simulator import ConfigError, ScenarioConfig, Trajectory
+from .simulator import ConfigError, load_run
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -42,18 +42,11 @@ def _apply_overrides(cfg, args):
     return replace(cfg, **{key: v for key, v in given.items() if v is not None})
 
 
-def _write_run(traj, out):
-    out.mkdir(parents=True, exist_ok=True)
-    simulator.write_trajectory_csv(traj, out / "trajectory.csv")
-    simulator.write_metrics_csv(traj, out / "metrics.csv")
-    simulator.write_manifest(traj, out / "manifest.txt")
-
-
 def cmd_run(args):
     cfg = _apply_overrides(parse_scenario(args.scenario), args)
     traj = simulator.run(cfg)
     out = _out_dir(args.out)
-    _write_run(traj, out)
+    simulator.write_run(traj, out)
     print(f"run: {cfg.group} {cfg.controller} N={cfg.n_agents} "
           f"t_end={cfg.t_end:g} seed={cfg.seed} -> {out}")
     if len(traj.times):     # a run that blows up at t = 0 records no sample
@@ -65,41 +58,6 @@ def cmd_run(args):
         print("run aborted early; see manifest events", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
-
-
-def load_run(run_dir):
-    """Rebuild a Trajectory, with its events, metrics and config, from an
-    output directory; a run that ended before its first sample has no
-    samples, and one without metrics.csv has no metrics.  The aux fields that
-    the manifest names in aux_is_xi are the reloaded xi array."""
-    run_dir = Path(run_dir)
-    manifest = simulator.read_manifest(run_dir / "manifest.txt")
-    agents = manifest.get("agents")
-    try:
-        metric_times, metrics = simulator.read_metrics_csv(run_dir / "metrics.csv", agents)
-    except FileNotFoundError:
-        metric_times, metrics = None, {}
-    times, g, xi, aux = simulator.read_trajectory_csv(
-        run_dir / "trajectory.csv", manifest["group"], agents
-    )
-    if metric_times is not None and metric_times.tobytes() != times.tobytes():
-        raise ConfigError("metrics times differ from the trajectory's")
-    for name in manifest.get("aux_is_xi", []):
-        if name in aux:
-            raise ConfigError(f"aux field {name!r} is named as xi and has columns of its own")
-        aux[name] = xi
-    config = manifest.get("config")
-    if config is not None:
-        config = ScenarioConfig.from_record(config)
-        if config.config_hash() != manifest.get("config_hash"):
-            raise ConfigError("config_hash is not the hash of the manifest's config")
-    return Trajectory(
-        group_name=manifest["group"],
-        times=times, g=g, xi=xi, aux=aux, metrics=metrics,
-        events=[simulator.Event(**e) for e in manifest["events"]],
-        completed=manifest["status"] == "completed",
-        config=config,
-    ), manifest
 
 
 def cmd_check(args):
@@ -138,21 +96,17 @@ def _seed(text):
 
 
 def _parse_seeds(spec):
+    """--seeds 'a..b' or 'a,b,..' -> list of seed override dicts; [{}] without it."""
     if spec is None:
-        return [None]
+        return [{}]
     a, _, b = spec.partition("..")
     seeds = list(range(_seed(a), _seed(b) + 1)) if b else [_seed(s) for s in spec.split(",")]
     if not seeds:
         raise ConfigError(f"seeds: {spec!r} holds no seed")
-    return seeds
+    return [{"seed": s} for s in seeds]
 
 
-def _sweep_one(task):
-    scenario_path, overrides, seed = task
-    cfg = parse_scenario(scenario_path)
-    cfg = replace(cfg, **overrides)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+def _sweep_one(cfg):
     traj = simulator.run(cfg)
     try:
         tc = analysis.check_coordination(traj, "tc", window=min(1.0, cfg.t_end / 2), tol=1e-3)
@@ -166,43 +120,44 @@ def _sweep_one(task):
         row = dict.fromkeys([*simulator.METRIC_NAMES, "V_k_max"], np.nan)
     row["tc"] = tc_flag
     row["completed"] = int(traj.completed)
-    return overrides, cfg.seed, row
+    return row
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise ConfigError("jobs: must be >= 1")
+    base = parse_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     if not grid and args.seeds is not None:
         grid = [{}]
     seeds = _parse_seeds(args.seeds)
-    tasks = [(args.scenario, g, s) for g in grid for s in seeds]
+    cfgs = [replace(base, **{**g, **s}) for g in grid for s in seeds]
     out = _out_dir(args.out)
-    results = []
-    if tasks:
-        if args.jobs > 1:
-            # imported here only: about 20 ms that every other use of the module would pay
-            from concurrent.futures import ProcessPoolExecutor
+    jobs = min(args.jobs, len(cfgs))
+    if jobs > 1:
+        # imported here only: about 20 ms that every other use of the module would pay
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_sweep_one, tasks))
-        else:
-            results = [_sweep_one(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(_sweep_one, cfgs))
+    else:
+        rows = [_sweep_one(cfg) for cfg in cfgs]
     keys = sorted({k for g in grid for k in g})
     metric_cols = list(simulator.METRIC_NAMES) + ["V_k_max", "tc", "completed"]
     header = keys + ["seed"] + metric_cols
     lines = [",".join(header)]
-    for overrides, seed, row in results:
-        cells = [format(overrides.get(k, ""), "") for k in keys] + [str(seed)]
+    for cfg, row in zip(cfgs, rows):
+        cells = [format(getattr(cfg, k), "") for k in keys] + [str(cfg.seed)]
         cells += [format(float(row[c]), ".17g") if c not in ("tc", "completed") else str(row[c])
                   for c in metric_cols]
         lines.append(",".join(str(c) for c in cells))
     table = "\n".join(lines) + "\n"
     (out / "sweep.csv").write_text(table)
     print(table, end="")
-    if results:
-        done = [r for _, _, r in results if r["tc"] >= 0]
-        if done:
-            frac = sum(r["tc"] for r in done) / len(done)
-            print(f"# tc fraction: {frac:.3f} over {len(done)} runs")
+    done = [row for row in rows if row["tc"] >= 0]
+    if done:
+        frac = sum(row["tc"] for row in done) / len(done)
+        print(f"# tc fraction: {frac:.3f} over {len(done)} runs")
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Communication topology: static or scheduled directed edge sets.
 
 An edge (j, k) means agent j sends information to agent k.  Schedules are
-piecewise constant: breakpoints t_0 = 0 < t_1 < ... with one edge set per
+piecewise constant: finite breakpoints t_0 = 0 < t_1 < ... with one edge set per
 segment; an optional period makes the schedule repeat.  Graphs are immutable
 after construction.
 
@@ -11,10 +11,8 @@ The controllers' neighbour sums take a segment's in-matrix A from in_terms,
 built the first time it asks, in one of two forms.  A segment of at least
 EDGE_MIN_AGENTS agents and at most N^2 / EDGE_FILL edges gets an EdgeSum,
 which sums over the sorted edges in O(E n) time and memory; any other gets
-the dense N x N matrix, whose product is faster there: A @ x with x of
-shape (N, 6) took, dense against edges on one OpenBLAS thread of a 2-core
-Xeon, 15 / 16 us on ring(192), 27 / 21 on ring(256), 26 / 1,100 on
-complete(256) and 28 / 36 on 256 agents with 3,180 random edges.  So a run
+the dense N x N matrix, whose product is faster there: below about 200
+agents, or on denser graphs, one BLAS product beats the edge gather.  So a run
 on a large sparse graph holds no N x N array, nor does a graph that no law
 steps with, such as the config of a reloaded run; in_matrix builds the
 dense matrix anew at each call, for laplacian and for tests.
@@ -57,13 +55,16 @@ class CommGraph:
             raise GraphError("schedule needs at least one segment")
         self.n = int(n)
         times = [float(t) for t, _ in segments]
+        period = None if period is None else float(period)
+        if not np.all(np.isfinite([*times, period or 0.0])):
+            raise GraphError("schedule breakpoints and period must be finite")
         if times[0] != 0.0:
             raise GraphError("first schedule segment must start at t=0")
         if any(t1 - t0 <= 0.0 for t0, t1 in zip(times, times[1:])):
             raise GraphError("schedule breakpoints must be strictly increasing")
         self.breakpoints = tuple(times)
         self.edge_sets = tuple(_validate_edges(n, e) for _, e in segments)
-        self.period = None if period is None else float(period)
+        self.period = period
         if self.period is not None and self.period <= times[-1]:
             raise GraphError("period must exceed the last breakpoint")
         self._edges = tuple(_edge_arrays(es) for es in self.edge_sets)

@@ -29,8 +29,8 @@ right trailing shapes and checks nothing; the public method (exp, compose,
 adjoint_inv, ...) raises GroupError on a wrong trailing shape, then calls the
 kernel.  The simulator loop and the control laws call the kernels directly, on
 arrays that build_controller, the initial-state checks and check have already
-checked: on the few agents of a steering step, a check costs about 1 us, as
-much as a small product.
+checked: on the few agents of a steering step, a check costs as much as a
+small product.
 
 The adjoint actions _adjoint (Ad_g) and _adjoint_inv (Ad_{g^-1}) default to
 the matrix form, matvec of _adjoint_matrix (3x3 on SE(2)).  On SO(3) that

@@ -14,11 +14,11 @@ fails are the offending agents listed, and the run ends in a blowup event at
 that step, before the step is recorded; positions come first.  So a position
 that overflows is caught at the next step, not at the next reprojection.
 
-A run is exported as trajectory.csv (aux columns named aux.<field><i>),
-metrics.csv and a manifest: one JSON object holding the config as plain data
-(ScenarioConfig.record, which config_hash also hashes), the status and the
-events, so that a reload keeps them, its config and its metrics.  In the CSV
-files "#" starts no comment: a line or cell holding one is a malformed row.
+A run directory holds trajectory.csv (aux columns named aux.<field><i>),
+metrics.csv and manifest.txt, one JSON object holding the config as plain
+data (ScenarioConfig.record, which config_hash also hashes), the status and
+the events.  write_run writes it, and load_run reloads all of them.  In the
+CSV files "#" starts no comment: a line or cell holding one is malformed.
 
 Each recorded value is held and written once.  The aux field that a law's
 spec names as its commanded velocity (the aux xi of a velocity law) has no
@@ -28,9 +28,9 @@ reloaded xi.  Any other aux field keeps its columns, also where its values
 equal xi.
 
 Export and reload go CSV_BLOCK_ROWS rows at a time: the writer formats a
-block built from slices of the recorded arrays, and the reader parses a
-block into arrays sized by the file's line ends.  So neither holds the whole
-table as text or as one float matrix, and a reload holds arrays of its own.
+block built from slices of the recorded arrays, and _read_rows parses a
+block of either table into arrays sized by the file's line ends.  Neither
+holds a whole table as text or as one float matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -531,28 +532,6 @@ def read_manifest(path):
     return man
 
 
-def _read_csv(path, what):
-    """The header cells and the rows (a float array of one column per cell) of
-    a CSV file; "#" starts no comment, so a line or cell holding one is a
-    malformed row.  numpy gets the path, which it reads in blocks at C level,
-    and skips the header: an open handle it would iterate line by line."""
-    with warnings.catch_warnings():
-        # numpy warns of a file without rows, which is read as such
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            with open(path) as f:
-                header = f.readline().rstrip("\n").split(",")
-            data = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
-        except ValueError as e:
-            # a truncated row, a value that is not a number, or bytes that are not text
-            raise ConfigError(f"malformed {what} row: {e}") from e
-    if len(data) == 0:
-        return header, np.zeros((0, len(header)))
-    if data.shape[1] != len(header):
-        raise ConfigError(f"{what} rows have {data.shape[1]} columns, its header {len(header)}")
-    return header, data
-
-
 def _aux_layout(header, start):
     """{field: (first, end)} of the aux columns header[start:]: each field's
     columns are aux.<field>0 .. aux.<field>{d-1}, together and in order, and
@@ -582,42 +561,29 @@ def _line_bound(path):
     return n + (last > 13)
 
 
-def read_trajectory_csv(path, group_name, n_agents=None):
-    """Rebuild (times, g, xi, aux) from an exported trajectory file; aux holds
-    the aux fields that have columns, each an array that owns its memory.
+def _read_rows(path, what, spans_of):
+    """The rows of a CSV table that a writer here wrote, as arrays of their
+    own: spans_of(header) checks the header cells and returns {name: (first,
+    end, shape, convert)}, and array name holds cells first:end of each row
+    as convert(cells), or reshaped to shape where convert is None.
 
-    The arrays are sized by a bound on the rows, the lesser of the file's
-    line ends and its size over 2C bytes: each line of C cells, the header
-    among them, holds a character per cell, C - 1 commas and a line end
-    (which only the last line may lack).  numpy parses the rows into them
-    CSV_BLOCK_ROWS at a time from one open handle, so a reload holds one
-    block of text and numbers besides what it returns.  The rows
-    follow _read_csv's rules.  A file without rows (a run that ended before
-    its first sample) is read as no samples of n_agents agents, and is a
-    ConfigError without n_agents.  A file with rows of another agent count
-    than a given n_agents is a ConfigError too.
-    """
-    group = get_group(group_name)
-    n_payload = len(group.payload_columns)
-    want = _trajectory_columns(group)
+    "#" starts no comment, and a row that numpy does not parse, or of other
+    than the header's cell count, is a ConfigError.  The arrays are sized by
+    the lesser of the file's line ends and its size over 2C bytes (a line of
+    C cells holds C characters, C - 1 commas and a line end, which only the
+    last line may lack); numpy parses CSV_BLOCK_ROWS rows into them at a time
+    from one open handle, and the rows the bound left unfilled are cut off."""
     with open(path) as f:
         try:
             header = f.readline().rstrip("\n").split(",")
         except ValueError as e:     # bytes that are not text
-            raise ConfigError(f"malformed trajectory row: {e}") from e
-        if header[: len(want)] != want:
-            raise ConfigError(f"unexpected trajectory header for group {group_name}")
+            raise ConfigError(f"malformed {what} row: {e}") from e
+        spans = spans_of(header)
         rows = min(_line_bound(path) - 1, os.fstat(f.fileno()).st_size // (2 * len(header)))
-        layout = _aux_layout(header, len(want))
         try:
-            lead = np.empty((rows, 2))      # t and agent id of each row, for the checks
-            g = np.empty((rows,) + group.element_shape)
-            xi = np.empty((rows, group.dim))
-            aux = {name: np.empty((rows, end - first)) for name, (first, end) in layout.items()}
+            out = {name: np.empty((rows,) + shape) for name, (_, _, shape, _) in spans.items()}
         except (ValueError, MemoryError):
-            raise ConfigError(f"trajectory: {rows} rows cannot be allocated") from None
-        spans = [(lead, 0, 2), (xi, 2 + n_payload, len(want))]
-        spans += [(aux[name], first, end) for name, (first, end) in layout.items()]
+            raise ConfigError(f"{what}: {rows} rows cannot be allocated") from None
         r = 0
         with warnings.catch_warnings():
             # numpy warns of a block without rows, which ends the file
@@ -628,32 +594,64 @@ def read_trajectory_csv(path, group_name, n_agents=None):
                     block = np.loadtxt(f, delimiter=",", ndmin=2, comments=None,
                                        max_rows=ask)
                 except ValueError as e:
-                    raise ConfigError(f"malformed trajectory row: {e} "
+                    raise ConfigError(f"malformed {what} row: {e} "
                                       f"(numpy counts rows from data row {r})") from e
                 if len(block) == 0:
                     break
                 if block.shape[1] != len(header):
-                    raise ConfigError(f"trajectory rows have {block.shape[1]} columns, "
+                    raise ConfigError(f"{what} rows have {block.shape[1]} columns, "
                                       f"its header {len(header)}")
-                g[r:r + len(block)] = group.from_payload(block[:, 2:2 + n_payload])
-                for arr, first, end in spans:
-                    arr[r:r + len(block)] = block[:, first:end]
+                for name, (first, end, shape, convert) in spans.items():
+                    cells = block[:, first:end]
+                    out[name][r:r + len(block)] = (cells.reshape((-1,) + shape)
+                                                   if convert is None else convert(cells))
                 r += len(block)
                 if len(block) < ask:      # the file ended before its bound
                     break
+    for arr in out.values():
+        arr.resize((r,) + arr.shape[1:], refcheck=False)
+    return out
+
+
+def read_trajectory_csv(path, group_name, n_agents=None):
+    """Rebuild (times, g, xi, aux) from an exported trajectory file; aux holds
+    the aux fields that have columns, each an array that owns its memory.
+
+    The rows follow _read_rows's rules.  A file without rows (a run that
+    ended before its first sample) is read as no samples of n_agents agents,
+    and is a ConfigError without n_agents.  A file with rows of another agent
+    count than a given n_agents is a ConfigError too.
+    """
+    group = get_group(group_name)
+    want = _trajectory_columns(group)
+    pose = len(want) - group.dim        # the pose payload is columns 2 .. pose - 1
+
+    def spans(header):
+        if header[: len(want)] != want:
+            raise ConfigError(f"unexpected trajectory header for group {group_name}")
+        return {"lead": (0, 2, (2,), None),     # t and agent id of each row, for the checks
+                "g": (2, pose, group.element_shape, group.from_payload),
+                "xi": (pose, len(want), (group.dim,), None),
+                **{"aux." + name: (first, end, (end - first,), None)
+                   for name, (first, end) in _aux_layout(header, len(want)).items()}}
+
+    cols = _read_rows(path, "trajectory", spans)
+    lead, g, xi = cols.pop("lead"), cols.pop("g"), cols.pop("xi")
+    aux = {name[4:]: arr for name, arr in cols.items()}
+    r = len(lead)
     if r == 0:
         if not (type(n_agents) is int and n_agents >= 1):
             raise ConfigError(f"trajectory has no rows and {n_agents!r} agents")
         s, n = 0, n_agents
     else:
         # rows go snapshot by snapshot, agent ids 0..N-1 in order, one time each
-        s = int(np.count_nonzero(lead[:r, 1] == 0))
+        s = int(np.count_nonzero(lead[:, 1] == 0))
         if s == 0 or r % s:
             raise ConfigError("trajectory rows are not a whole number of snapshots")
         n = r // s
     if n_agents is not None and not (type(n_agents) is int and n_agents == n):
         raise ConfigError(f"trajectory has {n} agents, not {n_agents!r}")
-    lead = lead[:r].reshape(s, n, 2)
+    lead = lead.reshape(s, n, 2)
     bad = np.any(lead[:, :, 1] != np.arange(n), axis=1)
     if np.any(bad):
         raise ConfigError(f"agent ids of snapshot {int(np.argmax(bad))} are not 0..{n - 1} in order")
@@ -661,7 +659,7 @@ def read_trajectory_csv(path, group_name, n_agents=None):
     bad = np.any(lead[:, :, 0] != times[:, None], axis=1)
     if np.any(bad):
         raise ConfigError(f"times differ within snapshot {int(np.argmax(bad))}")
-    # in place: drop the rows that the bound left unfilled, and split the rest by snapshot
+    # in place: split the rows by snapshot
     for arr in (g, xi, *aux.values()):
         arr.resize((s, n) + arr.shape[1:], refcheck=False)
     return times, g, xi, aux
@@ -671,12 +669,57 @@ def read_metrics_csv(path, n_agents):
     """Rebuild (times, metrics) from the file write_metrics_csv wrote for a run
     of n_agents agents: metrics maps V_* to (S,) and V_k to (S, N) arrays of
     their own.  Any other file is a ConfigError."""
-    header, data = _read_csv(path, "metrics")
-    if not (type(n_agents) is int and n_agents >= 1):
-        raise ConfigError(f"metrics of {n_agents!r} agents")
-    # the length first: the agent count comes from the manifest
-    if len(header) != 1 + len(METRIC_NAMES) + n_agents or header != _metrics_header(n_agents):
-        raise ConfigError(f"unexpected metrics header for {n_agents} agents")
-    metrics = {name: data[:, i].copy() for i, name in enumerate(METRIC_NAMES, 1)}
-    metrics["V_k"] = data[:, 1 + len(METRIC_NAMES):].copy()
-    return data[:, 0].copy(), metrics
+    def spans(header):
+        if not (type(n_agents) is int and n_agents >= 1):
+            raise ConfigError(f"metrics of {n_agents!r} agents")
+        # the length first: the agent count comes from the manifest
+        if len(header) != 1 + len(METRIC_NAMES) + n_agents or header != _metrics_header(n_agents):
+            raise ConfigError(f"unexpected metrics header for {n_agents} agents")
+        return {**{name: (i, i + 1, (), None) for i, name in enumerate(("t", *METRIC_NAMES))},
+                "V_k": (1 + len(METRIC_NAMES), len(header), (n_agents,), None)}
+
+    metrics = _read_rows(path, "metrics", spans)
+    return metrics.pop("t"), metrics
+
+
+def write_run(traj, out):
+    """Write a run directory: trajectory.csv, metrics.csv and manifest.txt."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out / "trajectory.csv")
+    write_metrics_csv(traj, out / "metrics.csv")
+    write_manifest(traj, out / "manifest.txt")
+
+
+def load_run(run_dir):
+    """Rebuild a Trajectory, with its events, metrics and config, and return it
+    with its manifest, from a directory that write_run wrote; a run that
+    ended before its first sample has no samples, and one without
+    metrics.csv has no metrics.  The aux fields that the manifest names in
+    aux_is_xi are the reloaded xi array."""
+    run_dir = Path(run_dir)
+    manifest = read_manifest(run_dir / "manifest.txt")
+    agents = manifest.get("agents")
+    try:
+        metric_times, metrics = read_metrics_csv(run_dir / "metrics.csv", agents)
+    except FileNotFoundError:
+        metric_times, metrics = None, {}
+    times, g, xi, aux = read_trajectory_csv(run_dir / "trajectory.csv", manifest["group"], agents)
+    if metric_times is not None and metric_times.tobytes() != times.tobytes():
+        raise ConfigError("metrics times differ from the trajectory's")
+    for name in manifest.get("aux_is_xi", []):
+        if name in aux:
+            raise ConfigError(f"aux field {name!r} is named as xi and has columns of its own")
+        aux[name] = xi
+    config = manifest.get("config")
+    if config is not None:
+        config = ScenarioConfig.from_record(config)
+        if config.config_hash() != manifest.get("config_hash"):
+            raise ConfigError("config_hash is not the hash of the manifest's config")
+    return Trajectory(
+        group_name=manifest["group"],
+        times=times, g=g, xi=xi, aux=aux, metrics=metrics,
+        events=[Event(**e) for e in manifest["events"]],
+        completed=manifest["status"] == "completed",
+        config=config,
+    ), manifest

@@ -486,6 +486,52 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
     assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
 
 
+def test_cmd_sweep_of_a_missing_scenario_exits_with_usage(tmp_path, capsys):
+    # without --grid and --seeds there is no run, and the file was never read
+    out = tmp_path / "s"
+    assert cli.main(["sweep", str(tmp_path / "none.ini"), "--out", str(out)]) == cli.EXIT_USAGE
+    assert "cannot read scenario file" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cmd_sweep_jobs_below_one_exits_with_usage(tmp_path, capsys, jobs):
+    code = cli.main(["sweep", "scenarios/se2_single_rest.ini", "--seeds", "1", "--jobs", jobs,
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: jobs: must be >= 1\n"
+
+
+def test_cmd_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    scen = _write(tmp_path, RIC_SE2.format(t_end=0.1))
+    assert cli.main(["sweep", scen, "--seeds", "1,2", "--jobs", "64",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert started == [2]
+    assert cli.main(["sweep", scen, "--seeds", "1", "--jobs", "64",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert started == [2]       # one run goes in series
+
+
 def test_parse_bad_numeric_names_field(tmp_path):
     bad = MINIMAL.replace("h = 1e-2", "h = fast")
     with pytest.raises(ConfigError, match="h"):
@@ -688,6 +734,20 @@ def test_parse_malformed_values_are_config_errors(tmp_path, text, match):
         parse_scenario(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("schedule", [
+    "segment_0 = 0.0 : 0>1\nsegment_1 = nan : 1>0",
+    "segment_0 = 0.0 : 0>1\nsegment_1 = inf : 1>0",
+    "segment_0 = 0.0 : 0>1\nsegment_1 = 0.5 : 1>0\nperiod = nan",
+], ids=["nan-breakpoint", "inf-breakpoint", "nan-period"])
+def test_non_finite_schedule_time_exits_with_usage(tmp_path, capsys, schedule):
+    # a NaN breakpoint made edge 1>0 active from t = 0
+    text = MINIMAL.replace("agents = 1", "agents = 2").replace("kind = empty",
+                                                                f"kind = schedule\n{schedule}")
+    code = cli.main(["run", _write(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: graph: schedule breakpoints and period")
+
+
 # ---------------------------------------------------------------------------
 # reloaded runs
 # ---------------------------------------------------------------------------
@@ -704,7 +764,7 @@ def test_reloaded_arrays_own_their_memory(tmp_path, group, controller):
                          graph=CommGraph.complete(3), t_end=0.05, h=1e-2, seed=2,
                          record_every=1)
     traj = simulator.run(cfg)
-    cli._write_run(traj, tmp_path)
+    simulator.write_run(traj, tmp_path)
     loaded, _ = cli.load_run(tmp_path)
     arrays = {"times": loaded.times, "g": loaded.g, "xi": loaded.xi}
     arrays.update({f"aux.{k}": v for k, v in loaded.aux.items() if v is not loaded.xi})
@@ -716,11 +776,16 @@ def test_reloaded_arrays_own_their_memory(tmp_path, group, controller):
             assert other == name or not np.shares_memory(a, b), (name, other)
 
 
+def test_cli_load_run_is_the_simulator_load_run():
+    # the run directory's format lives in one module; cli keeps the name
+    assert cli.load_run is simulator.load_run
+
+
 def test_load_run_allocates_no_dense_graph_matrix(tmp_path):
     n = 1024
     cfg = ScenarioConfig(group="so3", n_agents=n, controller="lic_consensus",
                          graph=CommGraph.ring(n), t_end=2e-2, h=1e-2, seed=2)
-    cli._write_run(simulator.run(cfg), tmp_path)
+    simulator.write_run(simulator.run(cfg), tmp_path)
     (loaded, _), peak = traced_peak(lambda: cli.load_run(tmp_path))
     assert loaded.config.config_hash() == cfg.config_hash()
     assert peak < n * n * 8
@@ -733,7 +798,7 @@ def test_a_large_ring_runs_exports_and_reloads_without_a_dense_graph_matrix(tmp_
                          graph=CommGraph.ring(n), t_end=3e-3, h=1e-3, seed=2, record_every=1)
 
     def round_trip():
-        cli._write_run(simulator.run(cfg), tmp_path)
+        simulator.write_run(simulator.run(cfg), tmp_path)
         return cli.load_run(tmp_path)
 
     (loaded, _), peak = traced_peak(round_trip)

@@ -42,6 +42,16 @@ def test_rejects_bad_schedule():
         CommGraph(2, [(0.0, {(0, 1)}), (3.0, set())], period=2.0)
 
 
+@pytest.mark.parametrize("second, period", [
+    (np.nan, None), (np.inf, None), (1.0, np.nan), (1.0, np.inf),
+], ids=["nan-breakpoint", "inf-breakpoint", "nan-period", "inf-period"])
+def test_non_finite_breakpoint_or_period_is_a_graph_error(second, period):
+    # a NaN compares false with everything, so it passed the order checks and
+    # made the last segment active at every time
+    with pytest.raises(GraphError, match="finite"):
+        CommGraph(2, [(0.0, {(0, 1)}), (second, {(1, 0)})], period=period)
+
+
 def _numpy_segment_index(graph, t):
     # the np.mod / np.searchsorted form that bisect replaced
     t = float(t)

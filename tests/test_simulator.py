@@ -27,6 +27,7 @@ from liecoord.simulator import (
     aux_columns,
     metric_traces,
     read_manifest,
+    read_metrics_csv,
     read_trajectory_csv,
     run,
     write_manifest,
@@ -544,7 +545,7 @@ def test_an_aux_field_that_equals_xi_keeps_its_columns(tmp_path, group, controll
     traj = run(cfg)
     assert traj.aux["eta"].tobytes() == traj.xi.tobytes()
     assert traj.aux["eta"] is not traj.xi
-    cli._write_run(traj, tmp_path)
+    simulator.write_run(traj, tmp_path)
     assert json.loads((tmp_path / "manifest.txt").read_text())["aux_is_xi"] == []
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0].split(",")
     assert header[-traj.group.dim:] == [f"aux.eta{i}" for i in range(traj.group.dim)]
@@ -706,9 +707,9 @@ def test_undecodable_trajectory_csv_is_a_config_error(tmp_path):
 
 
 def _handle_fed_read_csv(path, what):
-    """The reader that gave numpy the open text handle, which it iterates line
-    by line: the reference for the path-fed simulator._read_csv, and a parse
-    of the whole file for read_trajectory_csv, which parses it in blocks."""
+    """The header cells and the rows of a whole file, with numpy given the
+    open text handle once: the reference for the block reader, which parses
+    the same handle CSV_BLOCK_ROWS rows at a time."""
     with open(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
@@ -738,7 +739,7 @@ def _row2(f):
     return damage
 
 
-@pytest.mark.parametrize("damage", [
+_DAMAGES = pytest.mark.parametrize("damage", [
     lambda text: text.replace(b"\n", b"\r\n"),
     lambda text: text.replace(b"\n", b"\r"),
     lambda text: text[:-1],
@@ -755,31 +756,67 @@ def _row2(f):
 ], ids=["crlf", "lone_cr", "no_final_newline", "blank_line", "whitespace_line",
         "form_feed_line", "form_feed_in_row", "nul", "bom", "underscore", "non_ascii_char",
         "non_ascii_byte", "no_break_space"])
-def test_path_fed_reader_matches_the_handle_fed_parse(tmp_path, monkeypatch, damage):
-    cfg = _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(run(cfg), path)
+
+
+def _damaged_run_file(tmp_path, write, name, damage):
+    path = tmp_path / name
+    write(run(_cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)), path)
     path.write_bytes(damage(path.read_bytes()))
-    parsed = _outcome(_handle_fed_read_csv, path, "trajectory")
-    assert _outcome(simulator._read_csv, path, "trajectory") == parsed
-    # read_trajectory_csv in one-row blocks, in blocks of the default size, and
-    # in one block of the whole file (numpy allocates a block's rows up front)
+    return path
+
+
+def _by_block_size(monkeypatch, read, *args):
+    """read's outcome in one-row blocks, in blocks of the default size, and in
+    one block of the whole file (numpy allocates a block's rows up front)."""
     got = []
     for block_rows in (1, CSV_BLOCK_ROWS, 4 * CSV_BLOCK_ROWS):
         monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
-        got.append(_outcome(read_trajectory_csv, path, "se2"))
+        got.append(_outcome(read, *args))
     assert got[0] == got[1] == got[2]
+    return got[0]
+
+
+@_DAMAGES
+def test_trajectory_block_reader_matches_the_handle_fed_parse(tmp_path, monkeypatch, damage):
+    path = _damaged_run_file(tmp_path, write_trajectory_csv, "trajectory.csv", damage)
+    parsed = _outcome(_handle_fed_read_csv, path, "trajectory")
+    got = _by_block_size(monkeypatch, read_trajectory_csv, path, "se2")
     # each is the whole-file parse, split by snapshot
     if parsed == "ConfigError":
-        assert got[0] == "ConfigError"
-    else:
+        assert got == "ConfigError"
+    elif got != "ConfigError":
         data = np.frombuffer(parsed[1][1]).reshape(parsed[1][0])
-        if got[0] != "ConfigError":
-            times, g, xi = (np.frombuffer(b).reshape(shape) for shape, b in got[0])
-            rows = data.reshape(len(times), 2, -1)
-            assert times.tobytes() == rows[:, 0, 0].tobytes()
-            assert g.tobytes() == SE2.from_payload(rows[:, :, 2:5]).tobytes()
-            assert xi.tobytes() == rows[:, :, 5:].tobytes()
+        times, g, xi = (np.frombuffer(b).reshape(shape) for shape, b in got)
+        rows = data.reshape(len(times), 2, -1)
+        assert times.tobytes() == rows[:, 0, 0].tobytes()
+        assert g.tobytes() == SE2.from_payload(rows[:, :, 2:5]).tobytes()
+        assert xi.tobytes() == rows[:, :, 5:].tobytes()
+
+
+@_DAMAGES
+def test_metrics_block_reader_matches_the_handle_fed_parse(tmp_path, monkeypatch, damage):
+    path = _damaged_run_file(tmp_path, write_metrics_csv, "metrics.csv", damage)
+    parsed = _outcome(_handle_fed_read_csv, path, "metrics")
+    if parsed != "ConfigError":
+        # the whole-file parse, split into the columns of t, each V_* and V_k
+        data = np.frombuffer(parsed[1][1]).reshape(parsed[1][0])
+        parsed = [(c.shape, c.tobytes()) for c in (*data[:, :5].T, data[:, 5:])]
+    assert _by_block_size(monkeypatch, read_metrics_csv, path, 2) == parsed
+
+
+def test_metrics_reader_holds_little_besides_what_it_returns(tmp_path):
+    n, samples = 256, 1001
+    rng = np.random.default_rng(5)
+    metrics = {name: rng.standard_normal(samples) for name in METRIC_NAMES}
+    metrics["V_k"] = rng.standard_normal((samples, n)) ** 2
+    traj = Trajectory("se2", np.arange(samples) * 1e-2, np.zeros((samples, n, 3)),
+                      np.zeros((samples, n, 3)), {}, metrics, [], True)
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(traj, path)
+    (times, got), peak = traced_peak(lambda: read_metrics_csv(path, n))
+    assert times.tobytes() == traj.times.tobytes()
+    assert all(got[name].tobytes() == metrics[name].tobytes() for name in metrics)
+    assert peak < 1.75 * (times.nbytes + sum(a.nbytes for a in got.values()))
 
 
 def _swap_first_snapshot_ids(lines):
@@ -1034,7 +1071,7 @@ def _reload_of(tmp_path, cfg):
     metrics["V_k"] = np.zeros((0, n))
     traj = Trajectory(cfg.group, np.zeros(0), np.zeros((0, n, 3)), np.zeros((0, n, 3)),
                       {"eta": np.zeros((0, n, 3))}, metrics, [], True, config=cfg)
-    cli._write_run(traj, tmp_path)
+    simulator.write_run(traj, tmp_path)
     return cli.load_run(tmp_path)
 
 
