@@ -293,6 +293,8 @@ def generate_tc_configuration(group, xi, n, rng, tree_edges=None, scale=1.0):
         tree_edges = [(k, k + 1) for k in range(n - 1)]
     adj = {k: [] for k in range(n)}
     for a, b in tree_edges:
+        if not (0 <= int(a) < n and 0 <= int(b) < n):
+            raise AnalysisError(f"tree edge ({a}, {b}) names an agent outside 0..{n - 1}")
         adj[int(a)].append(int(b))
         adj[int(b)].append(int(a))
     g = group.identity_like(n)
@@ -402,6 +404,8 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
         graph = CommGraph.path(n_agents)
     else:
         raise AnalysisError(f"unknown graph kind {graph_kind!r}")
+    if trials < 0:
+        raise AnalysisError(f"trials: must be >= 0, not {trials!r}")
     root = np.random.default_rng(seed)
     seeds = root.integers(0, 2**31 - 1, size=trials)
     terminal = np.zeros(trials)
@@ -419,8 +423,8 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
 def so3_anti_aligned_state(n=4):
     """Rotation stack split into two groups whose spatial images of the common
     spin axis e3 cancel: a stationary saddle of the position controller."""
-    if n % 2:
-        raise AnalysisError("anti-aligned construction needs an even agent count")
+    if n < 2 or n % 2:
+        raise AnalysisError(f"anti-aligned construction needs an even agent count >= 2, not {n}")
     flip = so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
     g = np.stack([np.eye(3)] * (n // 2) + [flip] * (n // 2))
     eta = np.broadcast_to([0.0, 0.0, 1.0], (n, 3)).copy()

@@ -2,7 +2,7 @@
 
     liecoord run <scenario.ini> [--seed S] [--h H] [--t-end T] [--out DIR]
     liecoord check <run-dir> --mode lic|ric|tc [--tol X] [--window W]
-    liecoord sweep <scenario.ini> --grid "h=1e-2,1e-3;seed=0,1" [--seeds a..b] [--out DIR]
+    liecoord sweep <scenario.ini> --grid "h=1e-2,1e-3;t_end=5,10" [--seeds a..b] [--out DIR]
 
 Output directory defaults to $LIECOORD_OUT or the current directory.
 """
@@ -69,13 +69,17 @@ def cmd_check(args):
     return EXIT_OK if report.achieved else EXIT_FAILURE
 
 
-def _parse_grid(spec):
-    """Grid spec 'h=1e-2,1e-3;seed=0,1' -> list of override dicts; keys and
-    values are read as [scenario] keys (scenario.FIELDS)."""
-    if not spec or not spec.strip():
-        return []
+def _read(key, text):
+    return read_fields({key: text}, "scenario")[key]
+
+
+def _axes(grid, seeds):
+    """The sweep's axes {key: values}, in the order of their product: the
+    --grid keys as given ('h=1e-2,1e-3;seed=0,1'), then --seeds ('a..b' or
+    'a,b,..') as the seed axis.  Keys and values are read as [scenario] keys
+    (scenario.FIELDS)."""
     axes = {}
-    for part in spec.split(";"):
+    for part in grid.split(";") if grid.strip() else []:
         key, _, vals = part.partition("=")
         key = key.strip()
         if key not in FIELDS["scenario"]:
@@ -84,26 +88,17 @@ def _parse_grid(spec):
             )
         if key in axes:
             raise ConfigError(f"grid: {key} is given twice")
-        axes[key] = [read_fields({key: v.strip()}, "scenario")[key]
-                     for v in vals.split(",") if v.strip()]
-        if not axes[key]:
-            raise ConfigError(f"grid: {key} has no values")
-    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
-
-
-def _seed(text):
-    return read_fields({"seed": text}, "scenario")["seed"]
-
-
-def _parse_seeds(spec):
-    """--seeds 'a..b' or 'a,b,..' -> list of seed override dicts; [{}] without it."""
-    if spec is None:
-        return [{}]
-    a, _, b = spec.partition("..")
-    seeds = list(range(_seed(a), _seed(b) + 1)) if b else [_seed(s) for s in spec.split(",")]
-    if not seeds:
-        raise ConfigError(f"seeds: {spec!r} holds no seed")
-    return [{"seed": s} for s in seeds]
+        axes[key] = [_read(key, v.strip()) for v in vals.split(",") if v.strip()]
+    if seeds is not None:
+        if "seed" in axes:
+            raise ConfigError("seed: give it in --grid or in --seeds, not in both")
+        a, _, b = seeds.partition("..")
+        axes["seed"] = (range(_read("seed", a), _read("seed", b) + 1) if b
+                        else [_read("seed", s) for s in seeds.split(",")])
+    for key, vals in axes.items():
+        if not vals:
+            raise ConfigError(f"{key}: the sweep gives it no value")
+    return axes
 
 
 def _sweep_one(cfg):
@@ -127,11 +122,11 @@ def cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError("jobs: must be >= 1")
     base = parse_scenario(args.scenario)
-    grid = _parse_grid(args.grid)
-    if not grid and args.seeds is not None:
-        grid = [{}]
-    seeds = _parse_seeds(args.seeds)
-    cfgs = [replace(base, **{**g, **s}) for g in grid for s in seeds]
+    axes = _axes(args.grid, args.seeds)
+    cfgs = [replace(base, **dict(zip(axes, combo)))
+            for combo in itertools.product(*axes.values())] if axes else []
+    for cfg in cfgs:
+        cfg.validate()
     out = _out_dir(args.out)
     jobs = min(args.jobs, len(cfgs))
     if jobs > 1:
@@ -142,15 +137,14 @@ def cmd_sweep(args):
             rows = list(pool.map(_sweep_one, cfgs))
     else:
         rows = [_sweep_one(cfg) for cfg in cfgs]
-    keys = sorted({k for g in grid for k in g})
+    keys = sorted(axes.keys() - {"seed"}) + ["seed"]
     metric_cols = list(simulator.METRIC_NAMES) + ["V_k_max", "tc", "completed"]
-    header = keys + ["seed"] + metric_cols
-    lines = [",".join(header)]
+    lines = [",".join(keys + metric_cols)]
     for cfg, row in zip(cfgs, rows):
-        cells = [format(getattr(cfg, k), "") for k in keys] + [str(cfg.seed)]
+        cells = [format(getattr(cfg, k), "") for k in keys]
         cells += [format(float(row[c]), ".17g") if c not in ("tc", "completed") else str(row[c])
                   for c in metric_cols]
-        lines.append(",".join(str(c) for c in cells))
+        lines.append(",".join(cells))
     table = "\n".join(lines) + "\n"
     (out / "sweep.csv").write_text(table)
     print(table, end="")

@@ -108,6 +108,9 @@ class ScenarioConfig:
     stop_below: float | None = None
 
     def validate(self):
+        for name in ("n_agents", "seed", "record_every", "reproject_every"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name}: must be an integer, not {getattr(self, name)!r}")
         if self.n_agents < 1:
             raise ConfigError("agents: must be >= 1")
         if not (self.h > 0.0):

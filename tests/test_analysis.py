@@ -385,7 +385,12 @@ def test_check_of_se3_with_bottom_rows_off_equals_the_per_pair_loop():
     (lambda: generate_tc_configuration(SO3, E3, 0, np.random.default_rng(0)), "at least one agent"),
     (lambda: tc_basin_probe(graph_kind="star", trials=1), "unknown graph kind 'star'"),
     (lambda: so3_anti_aligned_state(3), "even agent count"),
-], ids=["mode", "no-agents", "graph-kind", "odd-count"])
+    (lambda: tc_basin_probe(trials=-1), "trials: must be >= 0"),
+    (lambda: generate_tc_configuration(SE3, np.arange(1.0, 7.0), 3, np.random.default_rng(0),
+                                       tree_edges=[(0, 5)]), r"tree edge \(0, 5\)"),
+    (lambda: so3_anti_aligned_state(0), "even agent count >= 2"),
+], ids=["mode", "no-agents", "graph-kind", "odd-count", "negative-trials", "edge-off-the-agents",
+        "no-agent-pairs"])
 def test_analysis_input_errors_are_typed(call, message):
     with pytest.raises(AnalysisError, match=message):
         call()

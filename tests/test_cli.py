@@ -433,6 +433,39 @@ def test_cmd_sweep_bad_input_exits_with_usage(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _count_runs(monkeypatch):
+    """The seeds of the runs that simulator.run starts from now on."""
+    seeds, real = [], simulator.run
+    monkeypatch.setattr(simulator, "run", lambda cfg: seeds.append(cfg.seed) or real(cfg))
+    return seeds
+
+
+def test_cmd_sweep_seed_in_the_grid_is_one_column(tmp_path, monkeypatch):
+    runs = _count_runs(monkeypatch)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", _write(tmp_path, MINIMAL), "--grid", "seed=1,2;h=1e-2,5e-2",
+                     "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0].split(",")[:3] == ["h", "seed", "V_r"]
+    assert rows[0].split(",").count("seed") == 1
+    assert [r.split(",")[:2] for r in rows[1:]] == [["0.01", "1"], ["0.05", "1"],
+                                                    ["0.01", "2"], ["0.05", "2"]]
+    assert runs == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--grid", "seed=1,2", "--seeds", "3..4"], "error: seed:"),
+    (["--grid", "t_end=4.0,1e-9"], "error: t_end:"),
+], ids=["seed-in-grid-and-seeds", "config-that-does-not-validate"])
+def test_cmd_sweep_bad_batch_starts_no_run(tmp_path, monkeypatch, capsys, args, error):
+    runs = _count_runs(monkeypatch)
+    out = tmp_path / "s"
+    code = cli.main(["sweep", _write(tmp_path, MINIMAL), *args, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(error)
+    assert runs == [] and not (out / "sweep.csv").exists()
+
+
 def test_cmd_sweep_grid_sets_any_scenario_field(tmp_path):
     scen = _write(tmp_path, RIC_SE2.format(t_end=0.1))
     out = tmp_path / "s"

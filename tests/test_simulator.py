@@ -282,6 +282,19 @@ def test_run_validates_config():
         _cfg(aux_integrator="heun").validate()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_agents", 3.0), ("seed", 1.5), ("record_every", 2.5), ("reproject_every", "100"),
+    ("n_agents", np.int64(3)), ("seed", np.uint32(7)), ("record_every", 5),
+])
+def test_validate_takes_only_integer_counts(name, value):
+    cfg = _cfg(**{name: value})
+    if isinstance(value, (int, np.integer)):
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match=f"{name}: must be an integer"):
+            cfg.validate()
+
+
 def test_validate_rejects_t_end_off_the_step_grid():
     for t_end in (0.0105, 1e-5, 0.5 + 1e-7):
         with pytest.raises(ConfigError, match="t_end"):
