@@ -40,6 +40,12 @@ class AnalysisError(ValueError):
     pass
 
 
+def _require_int(name, value):
+    """AnalysisError unless value is an integer, as ScenarioConfig.validate checks."""
+    if not isinstance(value, (int, np.integer)):
+        raise AnalysisError(f"{name}: must be an integer, not {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # coordination detection
 # ---------------------------------------------------------------------------
@@ -285,6 +291,7 @@ def generate_tc_configuration(group, xi, n, rng, tree_edges=None, scale=1.0):
     configuration qualifies and a random one is returned.
     """
     xi = np.asarray(xi, dtype=float)
+    _require_int("n", n)
     if n < 1:
         raise AnalysisError("need at least one agent")
     if np.linalg.norm(xi) == 0.0:
@@ -398,6 +405,8 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
     """Fraction of random starts of the body-reference cascade that reach
     total coordination (terminal V_tl below tol).  Reported, not asserted:
     the result is an empirical basin estimate."""
+    for name, value in (("trials", trials), ("n_agents", n_agents), ("seed", seed)):
+        _require_int(name, value)
     if graph_kind == "complete":
         graph = CommGraph.complete(n_agents)
     elif graph_kind == "tree":
@@ -423,6 +432,7 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
 def so3_anti_aligned_state(n=4):
     """Rotation stack split into two groups whose spatial images of the common
     spin axis e3 cancel: a stationary saddle of the position controller."""
+    _require_int("n", n)
     if n < 2 or n % 2:
         raise AnalysisError(f"anti-aligned construction needs an even agent count >= 2, not {n}")
     flip = so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
@@ -434,6 +444,7 @@ def so3_anti_aligned_state(n=4):
 def so3_saddle_escape(eps=1e-3, seed=0, t_end=40.0, h=1e-3):
     """Perturb the anti-aligned saddle of four agents and run the cascade;
     returns the trajectory (terminal V_tl near zero demonstrates the escape)."""
+    _require_int("seed", seed)
     rng = np.random.default_rng(seed)
     g, eta = so3_anti_aligned_state()
     n = len(g)

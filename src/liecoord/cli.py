@@ -42,6 +42,15 @@ def _apply_overrides(cfg, args):
     return replace(cfg, **{key: v for key, v in given.items() if v is not None})
 
 
+def _terminal(traj):
+    """Terminal V_* and largest V_k of a run; NaN if it blew up at t = 0, with no sample."""
+    if not len(traj.times):
+        return dict.fromkeys([*simulator.METRIC_NAMES, "V_k_max"], np.nan)
+    row = {name: traj.metrics[name][-1] for name in simulator.METRIC_NAMES}
+    row["V_k_max"] = float(np.max(traj.metrics["V_k"][-1]))
+    return row
+
+
 def cmd_run(args):
     cfg = _apply_overrides(parse_scenario(args.scenario), args)
     traj = simulator.run(cfg)
@@ -50,10 +59,7 @@ def cmd_run(args):
     print(f"run: {cfg.group} {cfg.controller} N={cfg.n_agents} "
           f"t_end={cfg.t_end:g} seed={cfg.seed} -> {out}")
     if len(traj.times):     # a run that blows up at t = 0 records no sample
-        final = {k: traj.metrics[k][-1] for k in simulator.METRIC_NAMES}
-        vk = float(np.max(traj.metrics["V_k"][-1]))
-        print("terminal: " + " ".join(f"{k}={v:.6e}" for k, v in final.items())
-              + f" V_k_max={vk:.6e}")
+        print("terminal: " + " ".join(f"{k}={v:.6e}" for k, v in _terminal(traj).items()))
     if not traj.completed:
         print("run aborted early; see manifest events", file=sys.stderr)
         return EXIT_FAILURE
@@ -108,14 +114,7 @@ def _sweep_one(cfg):
         tc_flag = int(tc.achieved)
     except analysis.AnalysisError:
         tc_flag = -1
-    if len(traj.times):
-        row = {name: traj.metrics[name][-1] for name in simulator.METRIC_NAMES}
-        row["V_k_max"] = float(np.max(traj.metrics["V_k"][-1]))
-    else:                           # blew up at t = 0: no terminal metrics
-        row = dict.fromkeys([*simulator.METRIC_NAMES, "V_k_max"], np.nan)
-    row["tc"] = tc_flag
-    row["completed"] = int(traj.completed)
-    return row
+    return {**_terminal(traj), "tc": tc_flag, "completed": int(traj.completed)}
 
 
 def cmd_sweep(args):

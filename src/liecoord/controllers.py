@@ -45,6 +45,9 @@ class ControllerError(ValueError):
     pass
 
 
+SIGN_TOL = 1e-9     # a sign-condition value (eta - P(eta)) . [eta, P(eta)] above it is > 0
+
+
 # ---------------------------------------------------------------------------
 # control setting
 # ---------------------------------------------------------------------------
@@ -253,9 +256,17 @@ def check_sign_condition(group, cs, samples=10_000, rng=None):
     """Monte-Carlo classification of (eta - P(eta)) . [eta, P(eta)] over the
     orbit O_C = {Ad_g (a + B u)}.
 
-    Returns "equality" when the quantity vanishes on all samples, "holds"
-    when it is nonpositive, and "violated" with a witness otherwise.
+    Returns "equality" when the quantity is within SIGN_TOL of 0 on all
+    samples, "holds" when it is at most SIGN_TOL, and "violated" with a
+    witness otherwise.
+
+    On SO(3) the quantity is the triple product of the coplanar eta, P(eta)
+    and eta - P(eta), so always "equality".  With a = 0 it is odd on the
+    orbit, which holds -eta with eta: s(-eta) = -s(eta), so "holds" cannot
+    occur on any group.  SE(2) and SE(3) with a != 0 are open.
     """
+    if not isinstance(samples, (int, np.integer)):
+        raise ControllerError(f"samples: must be an integer, not {samples!r}")
     if samples < 1:
         raise ControllerError(f"samples: must be >= 1, not {samples!r}")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -265,9 +276,9 @@ def check_sign_condition(group, cs, samples=10_000, rng=None):
     pi = cs.project(eta)
     s = np.einsum("kn,kn->k", eta - pi, group.bracket(eta, pi))
     hi, lo = float(np.max(s)), float(np.min(s))
-    if max(abs(hi), abs(lo)) <= 1e-9:
+    if max(abs(hi), abs(lo)) <= SIGN_TOL:
         return SignConditionCheck("equality", hi, lo)
-    if hi <= 1e-9:
+    if hi <= SIGN_TOL:
         return SignConditionCheck("holds", hi, lo)
     return SignConditionCheck("violated", hi, lo, witness=eta[int(np.argmax(s))])
 
@@ -373,8 +384,8 @@ class ControllerSpec:
     rhs: Callable                  # (c, state, graph) -> ControllerOutput
     aux: tuple = ()                # (field, dim, start); dim None is the algebra dimension,
                                    # start None a Gaussian draw, else a constant vector
-    params: tuple = ()             # allowed (name, kind) pairs; kind "float", or "algebra"
-                                   # for an algebra vector, shared or one per agent
+    params: tuple = ()             # names of the parameters, each an algebra vector,
+                                   # shared or one per agent
     groups: tuple = tuple(GROUPS)  # names of the groups the law runs on
     cs: Callable | None = None     # control setting used when none is given
     check: Callable | None = None  # (c) -> None; raises ControllerError
@@ -382,19 +393,6 @@ class ControllerSpec:
     validate: Callable | None = None     # (c, aux0) -> None, after the shape checks
     eta: Callable = _aux_eta       # (c, state) -> auxiliary velocity for the metrics, or None
     xi_aux: str | None = None      # the aux field that is the commanded velocity xi
-
-
-def _check_param(name, key, kind, value, dim):
-    """The value as a float array; ControllerError unless it is of the declared kind."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    shape = None if arr is None else arr.shape
-    if (shape != ()) if kind == "float" else (shape is None or shape[-1:] != (dim,)):
-        want = "a number" if kind == "float" else f"an algebra vector of length {dim}"
-        raise ControllerError(f"{name}: parameter {key} must be {want}, got {value!r}")
-    return arr
 
 
 class Controller:
@@ -405,17 +403,19 @@ class Controller:
 
     def __init__(self, name, spec, group, cs=None, params=None):
         self.params = dict(params or {})
-        kinds = dict(spec.params)
-        unknown = sorted(set(self.params) - set(kinds))
+        unknown = sorted(set(self.params) - set(spec.params))
         if unknown:
-            raise ControllerError(
-                f"{name}: unknown parameter(s) {unknown}; allowed: {list(kinds)}"
-            )
+            raise ControllerError(f"{name}: unknown parameter(s) {unknown}; "
+                                  f"allowed: {list(spec.params)}")
         if group.name not in spec.groups:
             labels = ", ".join(f"{g[:2].upper()}({g[2:]})" for g in spec.groups)
             raise ControllerError(f"{name} runs on {labels} only")
         for key, value in self.params.items():
-            self.params[key] = _check_param(name, key, kinds[key], value, group.dim)
+            try:
+                self.params[key] = group.require_algebra(value)
+            except (TypeError, ValueError):
+                raise ControllerError(f"{name}: parameter {key} must be an algebra vector "
+                                      f"of length {group.dim}, got {value!r}") from None
         self.name = name
         self.spec = spec
         self.group = group
@@ -537,8 +537,7 @@ def _underactuated_lic(c, state, graph):
     xi, deta, s = underactuated_lic_rhs(
         c.group, state.g, state.aux["eta"], graph, state.t, cs=c.cs
     )
-    tol = float(c.params.get("monitor_tol", 1e-9))
-    hit = np.nonzero(s > tol)      # the agent index is the last axis, also when batched
+    hit = np.nonzero(s > SIGN_TOL)      # the agent index is the last axis, also when batched
     events = [
         ("assumption_violation", int(k), f"(eta-P(eta)).[eta,P(eta)] = {v:.3e} > 0")
         for k, v in zip(hit[-1], s[hit])
@@ -590,21 +589,20 @@ _ETA = (("eta", None, None),)
 
 CONTROLLERS = {
     "zero": ControllerSpec(_constant),
-    "constant": ControllerSpec(_constant, params=(("xi", "algebra"),)),
+    "constant": ControllerSpec(_constant, params=("xi",)),
     "ric_consensus": _velocity_law(
         lambda group, g, xi, graph, t: ric_consensus_rhs(xi, graph, t)),
     "lic_consensus": _velocity_law(lic_consensus_rhs),
     "tc_right_cascade": ControllerSpec(_tc_right_cascade, _ETA, check=_fully_actuated),
     # the position-control stage alone against a pinned spatial reference
     "tc_right_frozen": ControllerSpec(
-        _tc_right_frozen, params=(("xi_r", "algebra"),), check=_needs_xi_r, eta=_frozen_eta
+        _tc_right_frozen, params=("xi_r",), check=_needs_xi_r, eta=_frozen_eta
     ),
     "tc_left_cascade": ControllerSpec(
         _tc_left_cascade, _ETA, default_aux=_tc_left_default_aux, validate=_tc_left_validate
     ),
     "underactuated_lic": ControllerSpec(
-        _underactuated_lic, _ETA, params=(("monitor_tol", "float"),),
-        check=_needs_control_setting,
+        _underactuated_lic, _ETA, check=_needs_control_setting,
         default_aux=_feasible_default_aux,
     ),
     "se3_steering_linear": ControllerSpec(

@@ -17,7 +17,7 @@ Format (schema 1):
     stop_below = 1e-9
 
     [controller.params]         ; optional, controller-specific
-    xi = 0 0 0.5                ; e.g. for the constant controller
+    xi = 0 0 0.5                ; an algebra vector, e.g. for the constant controller
 
     [control]                   ; optional; default fully actuated
     preset = se3_steering       ; fully_actuated | se2_steering | se3_steering
@@ -47,9 +47,10 @@ A key that is left out takes the default of its ScenarioConfig or InitSpec
 field (FIELDS maps each such key to its field and type).  Rows of one family
 (segment_i, b_col_i, pose_k, <aux>_k) are numbered from 0 without gaps.
 Unknown sections or keys are rejected, and a file or value that does not
-parse is a ConfigError; controller parameters the controller does not declare,
-or of the wrong kind, are rejected when the controller is built
-(simulator.run).  t_end must be a whole number of steps h, at least one.
+parse is a ConfigError.  Every controller parameter is read as a numeric list;
+one the controller does not declare, or that is not an algebra vector of the
+group, is rejected when the controller is built (simulator.run).  t_end must
+be a whole number of steps h, at least one.
 """
 
 from __future__ import annotations
@@ -253,22 +254,12 @@ def parse_scenario(path):
     if n < 1:
         raise ConfigError("agents: must be >= 1")
 
-    params = {}
-    if "controller.params" in parser:
-        for key, val in parser["controller.params"].items():
-            if " " in val.strip():
-                params[key] = _vector(val)
-                continue
-            try:
-                params[key] = float(val)
-            except ValueError:      # a word: building the controller checks it
-                params[key] = val
-
+    params = parser["controller.params"] if "controller.params" in parser else {}
     cfg = ScenarioConfig(
         group=group_name,
         n_agents=n,
         controller=controller,
-        controller_params=params,
+        controller_params={key: _vector(text) for key, text in params.items()},
         control=_parse_control(parser["control"], group) if "control" in parser else None,
         graph=_parse_graph(parser["graph"] if "graph" in parser else {}, n),
         init=_parse_init(parser["init"] if "init" in parser else {}, group, n),

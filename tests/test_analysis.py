@@ -389,8 +389,16 @@ def test_check_of_se3_with_bottom_rows_off_equals_the_per_pair_loop():
     (lambda: generate_tc_configuration(SE3, np.arange(1.0, 7.0), 3, np.random.default_rng(0),
                                        tree_edges=[(0, 5)]), r"tree edge \(0, 5\)"),
     (lambda: so3_anti_aligned_state(0), "even agent count >= 2"),
+    (lambda: tc_basin_probe(trials=1.5), "trials: must be an integer, not 1.5"),
+    (lambda: tc_basin_probe(trials=1, n_agents=2.5), "n_agents: must be an integer, not 2.5"),
+    (lambda: tc_basin_probe(trials=1, seed=1.5), "seed: must be an integer, not 1.5"),
+    (lambda: so3_anti_aligned_state(2.0), "n: must be an integer, not 2.0"),
+    (lambda: generate_tc_configuration(SO3, E3, 2.5, np.random.default_rng(0)),
+     "n: must be an integer, not 2.5"),
+    (lambda: so3_saddle_escape(seed=1.5), "seed: must be an integer, not 1.5"),
 ], ids=["mode", "no-agents", "graph-kind", "odd-count", "negative-trials", "edge-off-the-agents",
-        "no-agent-pairs"])
+        "no-agent-pairs", "fractional-trials", "fractional-agents", "fractional-seed",
+        "fractional-pair-count", "fractional-tree-size", "fractional-escape-seed"])
 def test_analysis_input_errors_are_typed(call, message):
     with pytest.raises(AnalysisError, match=message):
         call()

@@ -5,14 +5,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from liecoord import analysis, cli, simulator
-from liecoord.controllers import ControllerError
+from liecoord.controllers import CONTROLLERS, ControllerError, build_controller
 from liecoord.graphs import CommGraph, GraphError
-from liecoord.groups import GroupError
+from liecoord.groups import GROUPS, GroupError
 from liecoord.scenario import parse_scenario
 from liecoord.simulator import ConfigError, ScenarioConfig
 
@@ -618,32 +619,66 @@ def test_numeric_scenario_keys_end_in_a_typed_error_or_a_run(tmp_path, key, valu
     assert isinstance(traj, simulator.Trajectory)
 
 
-def test_parse_scalar_controller_param(tmp_path):
-    text = MINIMAL.replace("controller = zero", "controller = underactuated_lic") + """
-[control]
-preset = se2_steering
+PARAMS = """
+[scenario]
+schema = 1
+group = {group}
+agents = 3
+controller = {name}
+h = 1e-2
+t_end = 0.1
+seed = 4
 
 [controller.params]
-monitor_tol = 1e-8
+{key} = {text}
+
+[graph]
+kind = complete
 """
-    cfg = parse_scenario(_write(tmp_path, text.replace("agents = 1", "agents = 2").replace(
-        "kind = empty", "kind = complete")))
-    assert cfg.controller_params["monitor_tol"] == 1e-8
-    simulator.run(cfg)
+
+# every parameter a controller declares, with every group the controller runs on
+DECLARED = [(name, key, group) for name, spec in CONTROLLERS.items()
+            for key in spec.params for group in spec.groups]
+
+
+@pytest.mark.parametrize("name, key, group", DECLARED)
+def test_every_declared_param_is_read_as_its_api_array(tmp_path, name, key, group):
+    values = [0.5, -1.0, 0.25, 2.0, 0.0, 1.5][:GROUPS[group].dim]
+    path = _write(tmp_path, PARAMS.format(group=group, name=name, key=key,
+                                          text=" ".join(map(str, values))))
+    out = tmp_path / "o"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_OK
+    cfg = parse_scenario(path)
+    api = replace(cfg, controller_params={key: np.array(values)})
+    got = build_controller(name, GROUPS[group], params=cfg.controller_params).params[key]
+    want = build_controller(name, GROUPS[group], params=api.controller_params).params[key]
+    assert got.dtype == want.dtype == float and np.array_equal(got, want)
+    assert np.array_equal(simulator.run(cfg).xi, simulator.run(api).xi)
+    traj, manifest = cli.load_run(out)
+    assert traj.config.config_hash() == manifest["config_hash"] == api.config_hash()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0.5", "parameter {key} must be an algebra vector of length 3"),
+    ("fast", "bad numeric list 'fast'"),
+    ("1 0", "parameter {key} must be an algebra vector of length 3"),
+], ids=["scalar", "word", "wrong-length"])
+@pytest.mark.parametrize("name, key", sorted({(name, key) for name, key, _ in DECLARED}))
+def test_a_param_that_is_no_algebra_vector_is_a_usage_error(tmp_path, capsys, name, key, text,
+                                                            message):
+    path = _write(tmp_path, PARAMS.format(group="so3", name=name, key=key, text=text))
+    assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message.format(key=key) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_run_unknown_controller_param_is_a_usage_error(tmp_path, capsys):
-    text = MINIMAL.replace("controller = zero", "controller = underactuated_lic") + """
-[control]
-preset = se2_steering
-
-[controller.params]
-monitor_tl = 1e-3
-"""
+    text = PARAMS.format(group="so3", name="tc_right_frozen", key="xi_rr", text="1 0 0")
     code = cli.main(["run", _write(tmp_path, text), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "monitor_tl" in err and "monitor_tol" in err
+    assert err.startswith("error:") and "xi_rr" in err and "allowed: ['xi_r']" in err
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
@@ -712,7 +747,7 @@ def test_run_that_blew_up_at_t0_reloads_without_samples(tmp_path, capsys):
 
 @pytest.mark.parametrize("controller, params, bad", [
     ("constant", "xi = 1 0", "xi"),
-    ("underactuated_lic", "monitor_tol = tight", "monitor_tol"),
+    ("tc_right_frozen", "xi_r = 1 0 0 0", "xi_r"),
 ])
 def test_cmd_run_bad_controller_param_value_is_a_usage_error(tmp_path, capsys, controller,
                                                               params, bad):

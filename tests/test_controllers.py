@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from liecoord import controllers
 from liecoord.controllers import (
     CONTROLLERS,
     ControlSetting,
@@ -276,7 +277,9 @@ def test_tc_left_cascade_underactuated_stays_feasible():
 
 
 @pytest.mark.parametrize("name, group, cs, params, bad", [
-    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"monitor_tl": 1e-3}, "monitor_tl"),
+    ("tc_right_frozen", SO3, None, {"xi_rr": np.zeros(3)}, "xi_rr"),
+    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"monitor_tol": 1e-3},
+     "monitor_tol"),
     ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"freeze_aux": 1.0}, "freeze_aux"),
     ("tc_left_cascade", SO3, None, {"freeze_aux": 1.0}, "freeze_aux"),
     ("zero", SE3, None, {"xi": np.zeros(6)}, "xi"),
@@ -284,21 +287,20 @@ def test_tc_left_cascade_underactuated_stays_feasible():
 def test_build_controller_rejects_unknown_params(name, group, cs, params, bad):
     with pytest.raises(ControllerError, match=bad) as err:
         build_controller(name, group, cs=cs, params=params)
-    if name == "underactuated_lic":
-        assert "monitor_tol" in str(err.value)      # the allowed keys are listed
+    if name == "tc_right_frozen":
+        assert "allowed: ['xi_r']" in str(err.value)      # the allowed keys are listed
 
 
 @pytest.mark.parametrize("name, group, cs, params, bad", [
     ("constant", SE2, None, {"xi": np.array([1.0, 0.0])}, "xi"),
     ("constant", SO3, None, {"xi": "fast"}, "xi"),
     ("tc_right_frozen", SE3, None, {"xi_r": 1.0}, "xi_r"),
-    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"monitor_tol": "tight"},
-     "monitor_tol"),
-    ("underactuated_lic", SE2, ControlSetting.se2_steering(), {"monitor_tol": np.ones(2)},
-     "monitor_tol"),
+    ("tc_right_frozen", SO3, None, {"xi_r": "fast"}, "xi_r"),
+    ("constant", SE3, None, {"xi": {}}, "xi"),
 ])
 def test_build_controller_rejects_bad_param_values(name, group, cs, params, bad):
-    with pytest.raises(ControllerError, match=f"parameter {bad} must be"):
+    with pytest.raises(ControllerError, match=f"parameter {bad} must be an algebra vector "
+                                              f"of length {group.dim}, got"):
         build_controller(name, group, cs=cs, params=params)
 
 
@@ -539,6 +541,66 @@ def test_sign_condition_diagnostic_on_double_drift():
     assert check.verdict in ("equality", "holds", "violated")
     if check.verdict == "violated":
         assert check.witness is not None
+
+
+def _sign_quantity(group, cs, eta):
+    pi = cs.project(eta)
+    return np.einsum("kn,kn->k", eta - pi, group.bracket(eta, pi))
+
+
+def _random_setting(rng, n, m, drift=True):
+    B = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    return ControlSetting(rng.standard_normal(n) if drift else np.zeros(n), B)
+
+
+def test_sign_condition_on_so3_is_a_triple_product_of_coplanar_vectors():
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 3):
+        cs = _random_setting(rng, 3, m)
+        eta = 3.0 * rng.standard_normal((200, 3))
+        pi = cs.project(eta)
+        s = _sign_quantity(SO3, cs, eta)
+        assert np.allclose(s, np.linalg.det(np.stack([eta, pi, eta - pi], axis=-2)),
+                           rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(s)) <= controllers.SIGN_TOL
+        assert check_sign_condition(SO3, cs, samples=500, rng=rng).verdict == "equality"
+
+
+@pytest.mark.parametrize("group", [SO3, SE2, SE3], ids=lambda g: g.name)
+def test_sign_condition_without_drift_is_odd_so_it_never_holds(group):
+    rng = np.random.default_rng(30)
+    for m in range(1, group.dim + 1):
+        cs = _random_setting(rng, group.dim, m, drift=False)
+        eta = group.adjoint(group.random(rng, 200), rng.standard_normal((200, m)) @ cs.B.T)
+        assert np.array_equal(_sign_quantity(group, cs, -eta), -_sign_quantity(group, cs, eta))
+        verdict = check_sign_condition(group, cs, samples=2000, rng=rng).verdict
+        assert verdict != "holds"
+        if group is SO3 or m == group.dim:      # fully actuated: P(eta) = eta
+            assert verdict == "equality"
+
+
+def test_sign_condition_without_drift_on_se3_is_violated_both_ways():
+    B = np.zeros((6, 2))
+    B[0, 0] = B[3, 1] = 1.0                         # (e1, e4): a forward and a roll axis
+    check = check_sign_condition(SE3, ControlSetting(np.zeros(6), B), samples=10_000)
+    assert check.verdict == "violated"
+    assert check.max_value > 1.0 and check.min_value < -1.0
+
+
+def test_the_monitor_and_the_check_share_the_sign_threshold(monkeypatch):
+    # the crafted violation of test_assumption_monitor_fires_on_crafted_violation,
+    # below a threshold raised to twice its largest sampled value
+    b = np.zeros((6, 1))
+    b[1, 0] = b[5, 0] = 1.0 / np.sqrt(2.0)
+    cs = ControlSetting(np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), b)
+    check = check_sign_condition(SE3, cs, samples=2000, rng=np.random.default_rng(23))
+    ctrl = build_controller("underactuated_lic", SE3, cs=cs)
+    state = SwarmState(0.0, SE3.random(np.random.default_rng(24), 3),
+                       {"eta": np.tile(check.witness, (3, 1))})
+    monkeypatch.setattr(controllers, "SIGN_TOL", 2.0 * check.max_value)
+    assert ctrl.output(state, CommGraph.complete(3)).events == []
+    again = check_sign_condition(SE3, cs, samples=2000, rng=np.random.default_rng(23))
+    assert again.verdict != "violated" and again.max_value == check.max_value
 
 
 # ---------------------------------------------------------------------------
@@ -1037,8 +1099,11 @@ def test_a_run_on_edge_sums_equals_the_dense_run(monkeypatch, group_name, name, 
     (lambda: build_controller("no_such_law", SO3), "unknown controller 'no_such_law'"),
     (lambda: check_sign_condition(SE2, ControlSetting.se2_steering(), samples=0),
      "samples: must be >= 1"),
+    (lambda: check_sign_condition(SE2, ControlSetting.se2_steering(), samples=1.5),
+     "samples: must be an integer, not 1.5"),
 ], ids=["non-finite-setting", "compatibility-mode", "missing-aux", "misshaped-aux",
-        "underactuated", "no-control-setting", "no-xi_r", "unknown-name", "no-samples"])
+        "underactuated", "no-control-setting", "no-xi_r", "unknown-name", "no-samples",
+        "fractional-samples"])
 def test_controller_input_errors_are_typed(call, message):
     with pytest.raises(ControllerError, match=message):
         call()
