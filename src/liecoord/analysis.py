@@ -15,6 +15,11 @@ with a non-finite value, or a NaN floor, makes every pair a candidate.  A
 value is computed as by a loop over all pairs (the same gathers, compose,
 embed and norms), in that loop's order, so the report equals that loop's
 field for field, its worst pair and time included.  Each agent's inverse is computed once per check.
+
+generate_tc_configuration and the SO(3) probes (tc_basin_probe,
+so3_saddle_escape) raise AnalysisError on a count or seed that is no integer
+or is too small (groups.require_count), an unknown graph kind, an odd saddle
+or tree edges off the agents; a bad t_end or h is the run's ConfigError.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SE2, SE3, cross3, get_group, matvec, rot2, so3_exp
+from .groups import SE2, SE3, cross3, get_group, matvec, require_count, rot2, so3_exp
 from .graphs import CommGraph
 from .simulator import InitSpec, ScenarioConfig, run
 
@@ -38,12 +43,6 @@ GAP_ABS = np.sqrt(np.finfo(float).tiny)
 
 class AnalysisError(ValueError):
     pass
-
-
-def _require_int(name, value):
-    """AnalysisError unless value is an integer, as ScenarioConfig.validate checks."""
-    if not isinstance(value, (int, np.integer)):
-        raise AnalysisError(f"{name}: must be an integer, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +290,7 @@ def generate_tc_configuration(group, xi, n, rng, tree_edges=None, scale=1.0):
     configuration qualifies and a random one is returned.
     """
     xi = np.asarray(xi, dtype=float)
-    _require_int("n", n)
-    if n < 1:
-        raise AnalysisError("need at least one agent")
+    require_count("n", n, 1, AnalysisError)
     if np.linalg.norm(xi) == 0.0:
         return group.random(rng, n, pos_scale=scale)
     if tree_edges is None:
@@ -405,16 +402,14 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
     """Fraction of random starts of the body-reference cascade that reach
     total coordination (terminal V_tl below tol).  Reported, not asserted:
     the result is an empirical basin estimate."""
-    for name, value in (("trials", trials), ("n_agents", n_agents), ("seed", seed)):
-        _require_int(name, value)
+    for name, value, least in (("trials", trials, 0), ("n_agents", n_agents, 1), ("seed", seed, 0)):
+        require_count(name, value, least, AnalysisError)
     if graph_kind == "complete":
         graph = CommGraph.complete(n_agents)
     elif graph_kind == "tree":
         graph = CommGraph.path(n_agents)
     else:
         raise AnalysisError(f"unknown graph kind {graph_kind!r}")
-    if trials < 0:
-        raise AnalysisError(f"trials: must be >= 0, not {trials!r}")
     root = np.random.default_rng(seed)
     seeds = root.integers(0, 2**31 - 1, size=trials)
     terminal = np.zeros(trials)
@@ -432,9 +427,9 @@ def tc_basin_probe(graph_kind="complete", trials=20, n_agents=3, seed=0,
 def so3_anti_aligned_state(n=4):
     """Rotation stack split into two groups whose spatial images of the common
     spin axis e3 cancel: a stationary saddle of the position controller."""
-    _require_int("n", n)
-    if n < 2 or n % 2:
-        raise AnalysisError(f"anti-aligned construction needs an even agent count >= 2, not {n}")
+    require_count("n", n, 2, AnalysisError)
+    if n % 2:
+        raise AnalysisError(f"anti-aligned construction needs an even agent count, not {n}")
     flip = so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
     g = np.stack([np.eye(3)] * (n // 2) + [flip] * (n // 2))
     eta = np.broadcast_to([0.0, 0.0, 1.0], (n, 3)).copy()
@@ -444,7 +439,7 @@ def so3_anti_aligned_state(n=4):
 def so3_saddle_escape(eps=1e-3, seed=0, t_end=40.0, h=1e-3):
     """Perturb the anti-aligned saddle of four agents and run the cascade;
     returns the trajectory (terminal V_tl near zero demonstrates the escape)."""
-    _require_int("seed", seed)
+    require_count("seed", seed, 0, AnalysisError)
     rng = np.random.default_rng(seed)
     g, eta = so3_anti_aligned_state()
     n = len(g)

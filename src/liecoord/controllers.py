@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import GROUPS, SO3, c_einsum, cross3
+from .groups import GROUPS, SO3, c_einsum, cross3, require_count
 
 
 class ControllerError(ValueError):
@@ -265,10 +265,7 @@ def check_sign_condition(group, cs, samples=10_000, rng=None):
     orbit, which holds -eta with eta: s(-eta) = -s(eta), so "holds" cannot
     occur on any group.  SE(2) and SE(3) with a != 0 are open.
     """
-    if not isinstance(samples, (int, np.integer)):
-        raise ControllerError(f"samples: must be an integer, not {samples!r}")
-    if samples < 1:
-        raise ControllerError(f"samples: must be >= 1, not {samples!r}")
+    require_count("samples", samples, 1, ControllerError)
     rng = np.random.default_rng(0) if rng is None else rng
     g = group.random(rng, samples, pos_scale=2.0)
     u = rng.standard_normal((samples, cs.m))

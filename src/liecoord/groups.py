@@ -70,6 +70,17 @@ class GroupError(ValueError):
     """Usage error: wrong group, wrong shapes, or element off the manifold."""
 
 
+def require_count(name, value, least, error):
+    """value, if it is an integer (int or numpy integer) >= least; else raise
+    error, naming the argument.  The one check of every count and seed from
+    outside: scenario files, ScenarioConfig, analysis, check_sign_condition."""
+    if not isinstance(value, (int, np.integer)):
+        raise error(f"{name}: must be an integer, not {value!r}")
+    if value < least:
+        raise error(f"{name}: must be >= {least}, not {value!r}")
+    return value
+
+
 def matvec(M, x):
     """Batched matrix-vector product M @ x over the trailing two/one axes."""
     return c_einsum("...ij,...j->...i", M, x)

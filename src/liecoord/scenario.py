@@ -61,7 +61,7 @@ import numpy as np
 
 from .controllers import CONTROLLERS, ControlSetting
 from .graphs import CommGraph, GraphError
-from .groups import GROUPS, get_group
+from .groups import GROUPS, get_group, require_count
 from .simulator import ConfigError, InitSpec, ScenarioConfig
 
 SCHEMA = 1
@@ -88,11 +88,13 @@ FIELDS = {
 }
 
 
-def _vector(text):
+def _vector(section, where, key):
+    """The numeric list of section[key]; a ConfigError names where and key."""
+    text = section[key]
     try:
         return np.array([float(x) for x in text.split()])
     except ValueError as e:
-        raise ConfigError(f"bad numeric list {text!r}: {e}") from None
+        raise ConfigError(f"{where}: {key}: bad numeric list {text!r}: {e}") from None
 
 
 def _scalar(text, key, kind=float):
@@ -116,7 +118,7 @@ def _family(section, name):
 
 
 def _rows(section, where, name, n=None):
-    """The texts of the rows name_0, name_1, ... of a section in index order:
+    """The keys of the rows name_0, name_1, ... of a section in index order:
     n of them, or else all, and at least one.  A ConfigError names the first
     row that is missing, or one beyond the n."""
     have = _family(section, name)
@@ -127,12 +129,14 @@ def _rows(section, where, name, n=None):
     extra = sorted(have.difference(want))
     if extra:
         raise ConfigError(f"{where}: {extra[0]} is beyond {want[-1]}, one row per agent")
-    return [section[key] for key in want]
+    return want
 
 
-def _stack(rows, what, axis=0):
+def _stack(section, where, name, n=None, axis=0):
+    """The numeric lists of the rows name_0, name_1, ... (as _rows), stacked on axis."""
+    rows = [_vector(section, where, key) for key in _rows(section, where, name, n)]
     if len({len(r) for r in rows}) > 1:
-        raise ConfigError(f"{what}: rows of different lengths")
+        raise ConfigError(f"{where}: rows of different lengths")
     return np.stack(rows, axis=axis)
 
 
@@ -162,9 +166,9 @@ def _parse_graph(section, n):
             return CommGraph.static(n, _edges(section.get("edges", "")))
         if kind == "schedule":
             segments = []
-            for i, text in enumerate(_rows(section, "graph", "segment")):
-                t_str, _, edge_str = text.partition(":")
-                segments.append((_scalar(t_str, f"segment_{i}"), _edges(edge_str)))
+            for key in _rows(section, "graph", "segment"):
+                t_str, _, edge_str = section[key].partition(":")
+                segments.append((_scalar(t_str, key), _edges(edge_str)))
             period = _scalar(section["period"], "period") if "period" in section else None
             return CommGraph(n, segments, period=period)
     except GraphError as e:
@@ -187,8 +191,8 @@ def _parse_control(section, group):
                 f"control: unknown preset {name!r}; choose from {sorted(CONTROL_PRESETS)}"
             )
         return CONTROL_PRESETS[name](group.dim)
-    B = _stack([_vector(text) for text in _rows(section, "control", "b_col")], "control", axis=1)
-    a = _vector(section.get("a", " ".join(["0"] * group.dim)))
+    B = _stack(section, "control", "b_col", axis=1)
+    a = _vector(section, "control", "a") if "a" in section else np.zeros(group.dim)
     return ControlSetting(a, B)
 
 
@@ -196,7 +200,7 @@ def _parse_init(section, group, n):
     init = InitSpec(**read_fields(section, "init"))
     poses = _family(section, "pose")
     if init.kind == "explicit":
-        payload = _stack([_vector(text) for text in _rows(section, "init", "pose", n)], "init")
+        payload = _stack(section, "init", "pose", n)
         if payload.shape[1] != len(group.payload_columns):
             raise ConfigError(
                 f"init: pose rows need {len(group.payload_columns)} numbers "
@@ -211,7 +215,7 @@ def _parse_init(section, group, n):
         if not name or not idx.isdecimal():
             raise ConfigError(f"init: unknown key {key!r}")
         if name not in aux:
-            aux[name] = _stack([_vector(text) for text in _rows(section, "init", name, n)], "init")
+            aux[name] = _stack(section, "init", name, n)
     if aux:
         init.aux0 = aux
     return init
@@ -251,15 +255,14 @@ def parse_scenario(path):
             f"controller: unknown {controller!r}; choose from {sorted(CONTROLLERS)}"
         )
     n = _scalar(sc["agents"], "agents", int)
-    if n < 1:
-        raise ConfigError("agents: must be >= 1")
+    require_count("agents", n, 1, ConfigError)
 
     params = parser["controller.params"] if "controller.params" in parser else {}
     cfg = ScenarioConfig(
         group=group_name,
         n_agents=n,
         controller=controller,
-        controller_params={key: _vector(text) for key, text in params.items()},
+        controller_params={key: _vector(params, "controller.params", key) for key in params},
         control=_parse_control(parser["control"], group) if "control" in parser else None,
         graph=_parse_graph(parser["graph"] if "graph" in parser else {}, n),
         init=_parse_init(parser["init"] if "init" in parser else {}, group, n),

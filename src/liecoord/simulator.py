@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import TAU_MANIFOLD, c_einsum, count_nonzero, get_group
+from .groups import TAU_MANIFOLD, c_einsum, count_nonzero, get_group, require_count
 from .controllers import ControlSetting, build_controller
 from .graphs import CommGraph
 
@@ -108,11 +108,9 @@ class ScenarioConfig:
     stop_below: float | None = None
 
     def validate(self):
-        for name in ("n_agents", "seed", "record_every", "reproject_every"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name}: must be an integer, not {getattr(self, name)!r}")
-        if self.n_agents < 1:
-            raise ConfigError("agents: must be >= 1")
+        for name, least in (("n_agents", 1), ("seed", 0), ("record_every", 1),
+                            ("reproject_every", 0)):
+            require_count(name, getattr(self, name), least, ConfigError)
         if not (self.h > 0.0):
             raise ConfigError("h: must be > 0")
         if not (self.t_end > 0.0):
@@ -121,14 +119,8 @@ class ScenarioConfig:
         if not math.isfinite(steps) or round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"t_end: {self.t_end!r} is not a positive whole number of steps "
                               f"h={self.h!r}")
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
         if self.graph.n != self.n_agents:
             raise ConfigError("graph: agent count differs from the scenario")
-        if self.record_every < 1:
-            raise ConfigError("record_every: must be >= 1")
-        if self.reproject_every < 0:
-            raise ConfigError("reproject_every: must be >= 0 (0 disables)")
         if self.aux_integrator not in ("euler", "rk4"):
             raise ConfigError("aux_integrator: must be 'euler' or 'rk4'")
         if (self.stop_metric is None) != (self.stop_below is None):

@@ -382,13 +382,13 @@ def test_check_of_se3_with_bottom_rows_off_equals_the_per_pair_loop():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: check_coordination(_random_recorded(SE2, 2, 3, 0), "xyz"), "unknown coordination mode"),
-    (lambda: generate_tc_configuration(SO3, E3, 0, np.random.default_rng(0)), "at least one agent"),
+    (lambda: generate_tc_configuration(SO3, E3, 0, np.random.default_rng(0)), "n: must be >= 1, not 0"),
     (lambda: tc_basin_probe(graph_kind="star", trials=1), "unknown graph kind 'star'"),
     (lambda: so3_anti_aligned_state(3), "even agent count"),
     (lambda: tc_basin_probe(trials=-1), "trials: must be >= 0"),
     (lambda: generate_tc_configuration(SE3, np.arange(1.0, 7.0), 3, np.random.default_rng(0),
                                        tree_edges=[(0, 5)]), r"tree edge \(0, 5\)"),
-    (lambda: so3_anti_aligned_state(0), "even agent count >= 2"),
+    (lambda: so3_anti_aligned_state(0), "n: must be >= 2, not 0"),
     (lambda: tc_basin_probe(trials=1.5), "trials: must be an integer, not 1.5"),
     (lambda: tc_basin_probe(trials=1, n_agents=2.5), "n_agents: must be an integer, not 2.5"),
     (lambda: tc_basin_probe(trials=1, seed=1.5), "seed: must be an integer, not 1.5"),
@@ -396,9 +396,13 @@ def test_check_of_se3_with_bottom_rows_off_equals_the_per_pair_loop():
     (lambda: generate_tc_configuration(SO3, E3, 2.5, np.random.default_rng(0)),
      "n: must be an integer, not 2.5"),
     (lambda: so3_saddle_escape(seed=1.5), "seed: must be an integer, not 1.5"),
+    (lambda: tc_basin_probe(seed=-1, trials=1), "seed: must be >= 0, not -1"),
+    (lambda: so3_saddle_escape(seed=-1), "seed: must be >= 0, not -1"),
+    (lambda: tc_basin_probe(n_agents=0, trials=1), "n_agents: must be >= 1, not 0"),
 ], ids=["mode", "no-agents", "graph-kind", "odd-count", "negative-trials", "edge-off-the-agents",
         "no-agent-pairs", "fractional-trials", "fractional-agents", "fractional-seed",
-        "fractional-pair-count", "fractional-tree-size", "fractional-escape-seed"])
+        "fractional-pair-count", "fractional-tree-size", "fractional-escape-seed",
+        "negative-seed", "negative-escape-seed", "no-probe-agents"])
 def test_analysis_input_errors_are_typed(call, message):
     with pytest.raises(AnalysisError, match=message):
         call()

@@ -673,6 +673,18 @@ def test_a_param_that_is_no_algebra_vector_is_a_usage_error(tmp_path, capsys, na
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section, message", [
+    ("[controller.params]\nxi = 1 0 x\n", "controller.params: xi: bad numeric list '1 0 x'"),
+    ("[control]\na = 1 x 0\nb_col_0 = 0 0 1\n", "control: a: bad numeric list '1 x 0'"),
+    ("[control]\nb_col_0 = 0 0 x\n", "control: b_col_0: bad numeric list '0 0 x'"),
+    ("[init]\nkind = explicit\npose_0 = 0 x 0\n", "init: pose_0: bad numeric list '0 x 0'"),
+    ("[init]\neta_0 = 1 x 0\n", "init: eta_0: bad numeric list '1 x 0'"),
+], ids=["param", "control-a", "control-column", "pose-row", "aux-row"])
+def test_a_bad_numeric_list_names_its_section_and_key(tmp_path, section, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        parse_scenario(_write(tmp_path, MINIMAL + "\n" + section))
+
+
 def test_cmd_run_unknown_controller_param_is_a_usage_error(tmp_path, capsys):
     text = PARAMS.format(group="so3", name="tc_right_frozen", key="xi_rr", text="1 0 0")
     code = cli.main(["run", _write(tmp_path, text), "--out", str(tmp_path / "o")])
