@@ -24,6 +24,7 @@ or tree edges off the agents; a bad t_end or h is the run's ConfigError.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,13 +200,13 @@ def check_coordination(traj, mode, window=1.0, tol=1e-3):
     matches equal spatial velocities.  mode "ric": equal body velocities,
     which matches frozen g_j g_k^-1.  mode "tc": both at once.
     """
-    mode = mode.lower()
-    if mode not in ("lic", "ric", "tc"):
+    if not (isinstance(mode, str) and mode.lower() in ("lic", "ric", "tc")):
         raise AnalysisError(f"unknown coordination mode {mode!r}")
-    if not (np.isfinite(tol) and tol > 0):
+    mode = mode.lower()
+    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
         raise AnalysisError(f"tol: must be finite and > 0, not {tol!r}")
-    if np.isnan(window):
-        raise AnalysisError("window: must be a number of time units, not nan")
+    if not isinstance(window, numbers.Real) or np.isnan(window):
+        raise AnalysisError(f"window: must be a number of time units, not {window!r}")
     group = traj.group
     times = traj.times
     if not len(times):

@@ -24,6 +24,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .groups import require_count
+
 EDGE_MIN_AGENTS = 256       # fewer agents: the dense form (rings cross over at 200-220)
 EDGE_FILL = 32              # more than N^2 / EDGE_FILL edges: the dense form
 
@@ -35,10 +37,10 @@ class GraphError(ValueError):
 def _validate_edges(n, edges):
     out = []
     for e in edges:
-        j, k = int(e[0]), int(e[1])
+        j, k = (int(require_count("edge endpoint", v, 0, GraphError)) for v in (e[0], e[1]))
         if j == k:
             raise GraphError(f"self-loop {j}->{k} not allowed")
-        if not (0 <= j < n and 0 <= k < n):
+        if max(j, k) >= n:
             raise GraphError(f"edge {j}->{k} out of range for {n} agents")
         out.append((j, k))
     return frozenset(out)
@@ -49,8 +51,7 @@ class CommGraph:
 
     def __init__(self, n, segments, period=None):
         """segments: list of (start_time, edges); first start time must be 0."""
-        if n < 1:
-            raise GraphError("need at least one agent")
+        require_count("n", n, 1, GraphError)
         if not segments:
             raise GraphError("schedule needs at least one segment")
         self.n = int(n)
@@ -81,14 +82,17 @@ class CommGraph:
 
     @classmethod
     def complete(cls, n):
+        require_count("n", n, 1, GraphError)
         return cls.static(n, [(j, k) for j in range(n) for k in range(n) if j != k])
 
     @classmethod
     def ring(cls, n):
+        require_count("n", n, 1, GraphError)
         return cls.static(n, [(k, (k + 1) % n) for k in range(n)], undirected=True)
 
     @classmethod
     def path(cls, n):
+        require_count("n", n, 1, GraphError)
         return cls.static(n, [(k, k + 1) for k in range(n - 1)], undirected=True)
 
     @classmethod

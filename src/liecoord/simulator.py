@@ -15,9 +15,10 @@ that step, before the step is recorded; positions come first.  So a position
 that overflows is caught at the next step, not at the next reprojection.
 
 A run directory holds trajectory.csv (aux columns named aux.<field><i>),
-metrics.csv and manifest.txt, one JSON object holding the config as plain
-data (ScenarioConfig.record, which config_hash also hashes), the status and
-the events.  write_run writes it, and load_run reloads all of them.  In the
+metrics.csv and manifest.txt, one JSON object holding the run's shape (its
+agents and samples, which fix each table's rows), the config as plain data
+(ScenarioConfig.record, which config_hash also hashes), the status and the
+events.  write_run writes them, and load_run reloads all of them.  In the
 CSV files "#" starts no comment: a line or cell holding one is malformed.
 
 Each recorded value is held and written once.  The aux field that a law's
@@ -29,8 +30,8 @@ equal xi.
 
 Export and reload go CSV_BLOCK_ROWS rows at a time: the writer formats a
 block built from slices of the recorded arrays, and _read_rows parses a
-block of either table into arrays sized by the file's line ends.  Neither
-holds a whole table as text or as one float matrix.
+block of either table into arrays sized by the manifest's row count.
+Neither holds a whole table as text or as one float matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -51,7 +53,7 @@ from .graphs import CommGraph
 
 BLOWUP_NORM = 1e12
 CSV_BLOCK_ROWS = 256           # rows per format call in the writers and per parse in the reader
-MANIFEST_SCHEMA = 3
+MANIFEST_SCHEMA = 4
 
 METRIC_NAMES = ("V_r", "V_l", "V_tr", "V_tl")
 
@@ -111,6 +113,11 @@ class ScenarioConfig:
         for name, least in (("n_agents", 1), ("seed", 0), ("record_every", 1),
                             ("reproject_every", 0)):
             require_count(name, getattr(self, name), least, ConfigError)
+        for name, kind, what in (("group", str, "a group name"), ("graph", CommGraph, "a CommGraph"),
+                                 ("h", numbers.Real, "a number"), ("t_end", numbers.Real, "a number"),
+                                 ("stop_below", (numbers.Real, type(None)), "a number or None")):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name}: must be {what}, not {getattr(self, name)!r}")
         if not (self.h > 0.0):
             raise ConfigError("h: must be > 0")
         if not (self.t_end > 0.0):
@@ -491,13 +498,14 @@ def write_metrics_csv(traj, path):
 
 
 def write_manifest(traj, path):
-    """Write the run as one JSON object: schema, group, agents, config_hash,
-    config (ScenarioConfig.record), status, events and aux_is_xi."""
+    """Write the run as one JSON object: schema, group, agents, samples,
+    config_hash, config (ScenarioConfig.record), status, events and aux_is_xi."""
     cfg = traj.config
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "group": traj.group_name,
         "agents": traj.n_agents,
+        "samples": len(traj.times),
         "config_hash": None if cfg is None else cfg.config_hash(),
         "config": None if cfg is None else cfg.record(),
         "status": "completed" if traj.completed else "aborted",
@@ -509,21 +517,27 @@ def write_manifest(traj, path):
 
 
 def read_manifest(path):
-    """Load a manifest that write_manifest wrote, or a schema-2 one, without
-    aux_is_xi; anything else is a ConfigError."""
+    """Load a manifest that write_manifest wrote, the one check of a run's
+    shape; any other, also of another schema, is a ConfigError."""
     try:
         with open(path) as f:
             man = json.load(f)
     except ValueError as e:     # also a UnicodeDecodeError: the file is not text
         raise ConfigError(f"manifest is not JSON: {e}") from None
-    names = man.get("aux_is_xi", []) if isinstance(man, dict) else None
+    if not isinstance(man, dict):
+        raise ConfigError("manifest is not a JSON object")
+    if man.get("schema") != MANIFEST_SCHEMA:
+        raise ConfigError(f"manifest has schema {man.get('schema')!r}, not {MANIFEST_SCHEMA}")
+    for key, least in (("agents", 1), ("samples", 0)):
+        # type() and not isinstance: JSON true is no count
+        if not (type(man.get(key)) is int and man[key] >= least):
+            raise ConfigError(f"manifest {key}: must be an integer >= {least}, not {man.get(key)!r}")
+    names = man.get("aux_is_xi")
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
-            and man.get("schema") == (MANIFEST_SCHEMA if "aux_is_xi" in man else 2)
             and isinstance(man.get("group"), str) and "status" in man
             and isinstance(man.get("events"), list)
             and all(isinstance(e, dict) and e.keys() == _EVENT_KEYS for e in man["events"])):
-        raise ConfigError(f"not a manifest of schema 2, or of schema {MANIFEST_SCHEMA} with "
-                          "aux_is_xi field names, with group, status and events")
+        raise ConfigError("manifest without group, status, events and aux_is_xi field names")
     return man
 
 
@@ -543,80 +557,65 @@ def _aux_layout(header, start):
     return layout
 
 
-def _line_bound(path):
-    """A bound on the lines of a text file: its bytes of code 13 or less (LF
-    and CR among them, so a CR LF counts twice), and one more for a last line
-    that ends in none.  numpy counts them, a block of bytes at a time."""
-    n, last = 0, 10
-    with open(path, "rb") as f:
-        while chunk := f.read(1 << 16):
-            b = np.frombuffer(chunk, np.uint8)
-            n += count_nonzero(b <= 13)
-            last = b[-1]
-    return n + (last > 13)
-
-
-def _read_rows(path, what, spans_of):
-    """The rows of a CSV table that a writer here wrote, as arrays of their
-    own: spans_of(header) checks the header cells and returns {name: (first,
-    end, shape, convert)}, and array name holds cells first:end of each row
-    as convert(cells), or reshaped to shape where convert is None.
+def _read_rows(path, what, rows, spans_of):
+    """Exactly rows rows of a CSV table that a writer here wrote, as arrays of
+    their own: spans_of(header) checks the header cells and returns {name:
+    (first, end, shape, convert)}, and array name holds cells first:end of
+    each row as convert(cells), or reshaped to shape where convert is None.
 
     "#" starts no comment, and a row that numpy does not parse, or of other
-    than the header's cell count, is a ConfigError.  The arrays are sized by
-    the lesser of the file's line ends and its size over 2C bytes (a line of
-    C cells holds C characters, C - 1 commas and a line end, which only the
-    last line may lack); numpy parses CSV_BLOCK_ROWS rows into them at a time
-    from one open handle, and the rows the bound left unfilled are cut off."""
+    than the header's cell count, is a ConfigError; so is a table of other
+    than rows rows, and, before anything is allocated, a count that a file of
+    S bytes cannot hold (a line of C cells holds C characters, C - 1 commas
+    and a line end: rows <= S // 2C).  numpy parses CSV_BLOCK_ROWS rows at a
+    time into the arrays from one open handle, and then one row more."""
     with open(path) as f:
         try:
             header = f.readline().rstrip("\n").split(",")
         except ValueError as e:     # bytes that are not text
             raise ConfigError(f"malformed {what} row: {e}") from e
         spans = spans_of(header)
-        rows = min(_line_bound(path) - 1, os.fstat(f.fileno()).st_size // (2 * len(header)))
+        if rows > (most := os.fstat(f.fileno()).st_size // (2 * len(header))):
+            raise ConfigError(f"{what} has at most {most} rows, not {rows}")
         try:
             out = {name: np.empty((rows,) + shape) for name, (_, _, shape, _) in spans.items()}
         except (ValueError, MemoryError):
             raise ConfigError(f"{what}: {rows} rows cannot be allocated") from None
-        r = 0
+
+        def parse(r, ask):       # rows r .. r + ask - 1, or fewer where the file ends
+            try:
+                block = np.loadtxt(f, delimiter=",", ndmin=2, comments=None, max_rows=ask)
+            except ValueError as e:
+                raise ConfigError(f"malformed {what} row: {e} "
+                                  f"(numpy counts rows from data row {r})") from e
+            if len(block) and block.shape[1] != len(header):
+                raise ConfigError(f"{what} rows have {block.shape[1]} columns, "
+                                  f"its header {len(header)}")
+            return block
+
         with warnings.catch_warnings():
             # numpy warns of a block without rows, which ends the file
             warnings.simplefilter("ignore", UserWarning)
-            while r < rows:
+            for r in range(0, rows, CSV_BLOCK_ROWS):
                 ask = min(CSV_BLOCK_ROWS, rows - r)
-                try:
-                    block = np.loadtxt(f, delimiter=",", ndmin=2, comments=None,
-                                       max_rows=ask)
-                except ValueError as e:
-                    raise ConfigError(f"malformed {what} row: {e} "
-                                      f"(numpy counts rows from data row {r})") from e
-                if len(block) == 0:
-                    break
-                if block.shape[1] != len(header):
-                    raise ConfigError(f"{what} rows have {block.shape[1]} columns, "
-                                      f"its header {len(header)}")
+                block = parse(r, ask)
+                if len(block) < ask:
+                    raise ConfigError(f"{what} has {r + len(block)} rows, not {rows}")
                 for name, (first, end, shape, convert) in spans.items():
                     cells = block[:, first:end]
                     out[name][r:r + len(block)] = (cells.reshape((-1,) + shape)
                                                    if convert is None else convert(cells))
-                r += len(block)
-                if len(block) < ask:      # the file ended before its bound
-                    break
-    for arr in out.values():
-        arr.resize((r,) + arr.shape[1:], refcheck=False)
+            if len(parse(rows, 1)):
+                raise ConfigError(f"{what} has {rows + 1} or more rows, not {rows}")
     return out
 
 
-def read_trajectory_csv(path, group_name, n_agents=None):
-    """Rebuild (times, g, xi, aux) from an exported trajectory file; aux holds
-    the aux fields that have columns, each an array that owns its memory.
-
-    The rows follow _read_rows's rules.  A file without rows (a run that
-    ended before its first sample) is read as no samples of n_agents agents,
-    and is a ConfigError without n_agents.  A file with rows of another agent
-    count than a given n_agents is a ConfigError too.
-    """
+def read_trajectory_csv(path, group_name, samples, n_agents):
+    """Rebuild (times, g, xi, aux) from an exported trajectory file of samples
+    snapshots of n_agents rows: rows as _read_rows reads them, snapshot by
+    snapshot, agent ids 0..n_agents-1 in order, one time each; any other file
+    is a ConfigError.  aux holds the aux fields that have columns, each an
+    array that owns its memory."""
     group = get_group(group_name)
     want = _trajectory_columns(group)
     pose = len(want) - group.dim        # the pose payload is columns 2 .. pose - 1
@@ -630,50 +629,34 @@ def read_trajectory_csv(path, group_name, n_agents=None):
                 **{"aux." + name: (first, end, (end - first,), None)
                    for name, (first, end) in _aux_layout(header, len(want)).items()}}
 
-    cols = _read_rows(path, "trajectory", spans)
-    lead, g, xi = cols.pop("lead"), cols.pop("g"), cols.pop("xi")
-    aux = {name[4:]: arr for name, arr in cols.items()}
-    r = len(lead)
-    if r == 0:
-        if not (type(n_agents) is int and n_agents >= 1):
-            raise ConfigError(f"trajectory has no rows and {n_agents!r} agents")
-        s, n = 0, n_agents
-    else:
-        # rows go snapshot by snapshot, agent ids 0..N-1 in order, one time each
-        s = int(np.count_nonzero(lead[:, 1] == 0))
-        if s == 0 or r % s:
-            raise ConfigError("trajectory rows are not a whole number of snapshots")
-        n = r // s
-    if n_agents is not None and not (type(n_agents) is int and n_agents == n):
-        raise ConfigError(f"trajectory has {n} agents, not {n_agents!r}")
-    lead = lead.reshape(s, n, 2)
-    bad = np.any(lead[:, :, 1] != np.arange(n), axis=1)
-    if np.any(bad):
-        raise ConfigError(f"agent ids of snapshot {int(np.argmax(bad))} are not 0..{n - 1} in order")
+    cols = _read_rows(path, "trajectory", samples * n_agents, spans)
+    lead = cols.pop("lead").reshape(samples, n_agents, 2)
     times = lead[:, 0, 0].copy()
-    bad = np.any(lead[:, :, 0] != times[:, None], axis=1)
-    if np.any(bad):
-        raise ConfigError(f"times differ within snapshot {int(np.argmax(bad))}")
+    for wrong, what in (
+            (lead[:, :, 1] != np.arange(n_agents), f"agent ids are not 0..{n_agents - 1}"),
+            (lead[:, :, 0] != times[:, None], "times differ")):
+        bad = np.any(wrong, axis=1)
+        if np.any(bad):
+            raise ConfigError(f"snapshot {int(np.argmax(bad))}: {what}")
     # in place: split the rows by snapshot
-    for arr in (g, xi, *aux.values()):
-        arr.resize((s, n) + arr.shape[1:], refcheck=False)
-    return times, g, xi, aux
+    for arr in cols.values():
+        arr.resize((samples, n_agents) + arr.shape[1:], refcheck=False)
+    g, xi = cols.pop("g"), cols.pop("xi")
+    return times, g, xi, {name[4:]: arr for name, arr in cols.items()}
 
 
-def read_metrics_csv(path, n_agents):
+def read_metrics_csv(path, samples, n_agents):
     """Rebuild (times, metrics) from the file write_metrics_csv wrote for a run
-    of n_agents agents: metrics maps V_* to (S,) and V_k to (S, N) arrays of
-    their own.  Any other file is a ConfigError."""
+    of samples snapshots of n_agents agents: metrics maps V_* to (S,) and V_k
+    to (S, N) arrays of their own.  Any other file is a ConfigError."""
     def spans(header):
-        if not (type(n_agents) is int and n_agents >= 1):
-            raise ConfigError(f"metrics of {n_agents!r} agents")
         # the length first: the agent count comes from the manifest
         if len(header) != 1 + len(METRIC_NAMES) + n_agents or header != _metrics_header(n_agents):
             raise ConfigError(f"unexpected metrics header for {n_agents} agents")
         return {**{name: (i, i + 1, (), None) for i, name in enumerate(("t", *METRIC_NAMES))},
                 "V_k": (1 + len(METRIC_NAMES), len(header), (n_agents,), None)}
 
-    metrics = _read_rows(path, "metrics", spans)
+    metrics = _read_rows(path, "metrics", samples, spans)
     return metrics.pop("t"), metrics
 
 
@@ -688,21 +671,17 @@ def write_run(traj, out):
 
 def load_run(run_dir):
     """Rebuild a Trajectory, with its events, metrics and config, and return it
-    with its manifest, from a directory that write_run wrote; a run that
-    ended before its first sample has no samples, and one without
-    metrics.csv has no metrics.  The aux fields that the manifest names in
-    aux_is_xi are the reloaded xi array."""
+    with its manifest, from the three files that write_run wrote: both tables
+    hold the manifest's samples (none if the run ended before its first) of
+    its agents, and the aux fields named in aux_is_xi are the reloaded xi."""
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir / "manifest.txt")
-    agents = manifest.get("agents")
-    try:
-        metric_times, metrics = read_metrics_csv(run_dir / "metrics.csv", agents)
-    except FileNotFoundError:
-        metric_times, metrics = None, {}
-    times, g, xi, aux = read_trajectory_csv(run_dir / "trajectory.csv", manifest["group"], agents)
-    if metric_times is not None and metric_times.tobytes() != times.tobytes():
+    shape = manifest["samples"], manifest["agents"]
+    metric_times, metrics = read_metrics_csv(run_dir / "metrics.csv", *shape)
+    times, g, xi, aux = read_trajectory_csv(run_dir / "trajectory.csv", manifest["group"], *shape)
+    if metric_times.tobytes() != times.tobytes():
         raise ConfigError("metrics times differ from the trajectory's")
-    for name in manifest.get("aux_is_xi", []):
+    for name in manifest["aux_is_xi"]:
         if name in aux:
             raise ConfigError(f"aux field {name!r} is named as xi and has columns of its own")
         aux[name] = xi

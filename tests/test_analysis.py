@@ -399,10 +399,16 @@ def test_check_of_se3_with_bottom_rows_off_equals_the_per_pair_loop():
     (lambda: tc_basin_probe(seed=-1, trials=1), "seed: must be >= 0, not -1"),
     (lambda: so3_saddle_escape(seed=-1), "seed: must be >= 0, not -1"),
     (lambda: tc_basin_probe(n_agents=0, trials=1), "n_agents: must be >= 1, not 0"),
+    (lambda: check_coordination(_random_recorded(SE2, 2, 3, 0), 3), "unknown coordination mode 3"),
+    (lambda: check_coordination(_random_recorded(SE2, 2, 3, 0), "lic", window="1"),
+     "window: must be a number of time units, not '1'"),
+    (lambda: check_coordination(_random_recorded(SE2, 2, 3, 0), "lic", tol=None),
+     "tol: must be finite and > 0, not None"),
 ], ids=["mode", "no-agents", "graph-kind", "odd-count", "negative-trials", "edge-off-the-agents",
         "no-agent-pairs", "fractional-trials", "fractional-agents", "fractional-seed",
         "fractional-pair-count", "fractional-tree-size", "fractional-escape-seed",
-        "negative-seed", "negative-escape-seed", "no-probe-agents"])
+        "negative-seed", "negative-escape-seed", "no-probe-agents", "mode-not-a-name",
+        "text-window", "no-tol"])
 def test_analysis_input_errors_are_typed(call, message):
     with pytest.raises(AnalysisError, match=message):
         call()

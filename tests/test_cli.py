@@ -286,26 +286,39 @@ def test_cmd_check_round_trip_matches_in_process(tmp_path, capsys):
     assert (out / "check_tc.txt").exists()
 
 
+# the shape of the run below; SAMPLES stands for its sample count
+_SHAPE = '"schema": 4, "agents": 1, "samples": SAMPLES'
+
+
 @pytest.mark.parametrize("text", [
     "garbage",
     "[1, 2]",
-    '{"schema": 1, "group": "se2", "status": "completed", "events": []}',
-    "schema: 1\ngroup: se2\nstatus: completed\nevents:\n",
-    '{"schema": 2, "status": "completed", "events": []}',
-    '{"schema": 2, "group": "se2", "events": []}',
-    '{"schema": 2, "group": "se2", "status": "completed"}',
-    '{"schema": 2, "group": 3, "status": "completed", "events": []}',
-    '{"schema": 2, "group": "se2", "status": "completed", "events": [{"t": 0}]}',
-    '{"schema": 3, "group": "se2", "agents": 1, "status": "completed", "events": [], '
-    '"aux_is_xi": ["xi"]}',
+    '{"schema": 1, "group": "se2", "agents": 1, "samples": SAMPLES, "status": "completed", '
+    '"events": [], "aux_is_xi": []}',
+    "schema: 4\ngroup: se2\nagents: 1\nsamples: SAMPLES\nstatus: completed\nevents:\n",
+    '{' + _SHAPE + ', "status": "completed", "events": [], "aux_is_xi": []}',
+    '{' + _SHAPE + ', "group": "se2", "events": [], "aux_is_xi": []}',
+    '{' + _SHAPE + ', "group": "se2", "status": "completed", "aux_is_xi": []}',
+    '{' + _SHAPE + ', "group": 3, "status": "completed", "events": [], "aux_is_xi": []}',
+    '{' + _SHAPE + ', "group": "se2", "status": "completed", "events": [{"t": 0}], '
+    '"aux_is_xi": []}',
+    '{' + _SHAPE + ', "group": "se2", "status": "completed", "events": []}',
+    '{' + _SHAPE + ', "group": "se2", "status": "completed", "events": [], "aux_is_xi": ["xi"]}',
 ], ids=["not-json", "not-an-object", "schema-1", "text-manifest", "no-group", "no-status",
-        "no-events", "group-not-a-name", "event-without-its-keys", "xi-named-with-columns"])
+        "no-events", "group-not-a-name", "event-without-its-keys", "no-aux-is-xi",
+        "xi-named-with-columns"])
 def test_cmd_check_malformed_manifest_exits_with_usage(tmp_path, capsys, text):
     out = tmp_path / "run"
     assert cli.main(["run", "scenarios/se2_single_rest.ini", "--t-end", "0.5",
                      "--out", str(out)]) == 0
+    samples = str(simulator.read_manifest(out / "manifest.txt")["samples"])
     _with_aux_xi_columns(out / "trajectory.csv")    # columns for an aux field xi
-    (out / "manifest.txt").write_text(text)
+    # the manifest that each text damages reloads
+    good = '{' + _SHAPE + ', "group": "se2", "status": "completed", "events": [], "aux_is_xi": []}'
+    (out / "manifest.txt").write_text(good.replace("SAMPLES", samples))
+    assert cli.load_run(out)[0].aux["xi"].shape == (int(samples), 1, 3)
+    (out / "manifest.txt").write_text(text.replace("SAMPLES", samples))
+    capsys.readouterr()
     assert cli.main(["check", str(out), "--mode", "lic"]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
 
@@ -903,11 +916,16 @@ def test_reload_keeps_the_recorded_metrics(tmp_path, capsys):
     assert (tmp_path / "again.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
-def test_reload_without_a_metrics_file_has_no_metrics(tmp_path, capsys):
+def test_reload_without_a_metrics_file_is_an_error(tmp_path, capsys):
+    # a run directory is the three files that write_run writes
     out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
     (out / "metrics.csv").unlink()
-    loaded, _ = cli.load_run(out)
-    assert loaded.metrics == {} and len(loaded.times) == 11
+    with pytest.raises(FileNotFoundError):
+        cli.load_run(out)
+    capsys.readouterr()
+    assert cli.main(["check", str(out), "--mode", "ric"]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "metrics.csv" in err and "Traceback" not in err
 
 
 def _metrics_rows(lines):
@@ -932,7 +950,7 @@ def _metrics_renamed_column(lines):
 
 
 @pytest.mark.parametrize("damage, message", [
-    (_metrics_rows, "metrics times"),
+    (_metrics_rows, "metrics has 12 or more rows, not 11"),
     (_metrics_time, "metrics times"),
     (_metrics_agents, "metrics header"),
     (_metrics_comment, "malformed metrics row"),
@@ -948,26 +966,90 @@ def test_malformed_metrics_csv_is_a_config_error(tmp_path, capsys, damage, messa
     assert cli.main(["check", str(out), "--mode", "ric"]) == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("agents", [None, 0, 2, True, "3"])
+@pytest.mark.parametrize("agents", [1, 2, 4])
 def test_metrics_need_the_manifest_agent_count(tmp_path, capsys, agents):
     out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
     manifest = simulator.read_manifest(out / "manifest.txt")
     manifest["agents"] = agents
     (out / "manifest.txt").write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="metrics"):
+    with pytest.raises(ConfigError, match=f"unexpected metrics header for {agents} agents"):
         cli.load_run(out)
 
 
-@pytest.mark.parametrize("agents", [2, 4])
-def test_load_run_checks_the_manifest_agent_count(tmp_path, capsys, agents):
-    # without metrics.csv, whose header would catch it, only the trajectory can
+@pytest.mark.parametrize("samples, agents, message", [
+    (11, 2, "trajectory has 23 or more rows, not 22"),
+    (11, 4, "trajectory has 33 rows, not 44"),
+    # as many rows, cut into snapshots of another agent count
+    (33, 1, "snapshot 1: agent ids are not 0..0"),
+])
+def test_trajectory_reader_checks_the_manifest_shape(tmp_path, capsys, samples, agents, message):
+    # a shape that the metrics header does not contradict, as in a file of another run
     out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1).replace("ric_consensus", "lic_consensus"))
+    assert simulator.read_manifest(out / "manifest.txt")["samples"] == 11
+    with pytest.raises(ConfigError, match=message):
+        simulator.read_trajectory_csv(out / "trajectory.csv", "se2", samples, agents)
+
+
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("value", [-1, 2.0, True, "3", None, _ABSENT],
+                         ids=["negative", "float", "true", "text", "null", "missing"])
+@pytest.mark.parametrize("key", ["agents", "samples"])
+def test_manifest_counts_are_whole_numbers(tmp_path, capsys, key, value):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
     manifest = simulator.read_manifest(out / "manifest.txt")
-    (out / "manifest.txt").write_text(json.dumps(dict(manifest, agents=agents)))
-    (out / "metrics.csv").unlink()
-    with pytest.raises(ConfigError, match=f"trajectory has 3 agents, not {agents}"):
+    if value is _ABSENT:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    (out / "manifest.txt").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=f"manifest {key}: must be an integer"):
         cli.load_run(out)
-    assert cli.main(["check", str(out), "--mode", "lic"]) == cli.EXIT_USAGE
+    assert cli.main(["check", str(out), "--mode", "ric"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["one-below", "one-above"])
+def test_manifest_samples_must_count_the_tables_rows(tmp_path, capsys, delta):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    (out / "manifest.txt").write_text(json.dumps(dict(manifest, samples=11 + delta)))
+    with pytest.raises(ConfigError, match=f"metrics has .*rows, not {11 + delta}"):
+        cli.load_run(out)
+    capsys.readouterr()
+    assert cli.main(["check", str(out), "--mode", "ric"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_manifest_samples_beyond_the_files_bytes_allocate_nothing(tmp_path, capsys):
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    (out / "manifest.txt").write_text(json.dumps(dict(manifest, samples=10**9)))
+
+    def reload():
+        with pytest.raises(ConfigError, match=r"metrics has at most \d+ rows, not 1000000000"):
+            cli.load_run(out)
+
+    _, peak = traced_peak(reload)
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("schema", [2, 3])
+def test_manifest_of_another_schema_is_a_config_error(tmp_path, capsys, schema):
+    # as a run directory of schema 3 is written: no samples key, and schema 2
+    # had no aux_is_xi either
+    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
+    manifest = simulator.read_manifest(out / "manifest.txt")
+    del manifest["samples"]
+    if schema == 2:
+        del manifest["aux_is_xi"]
+        _with_aux_xi_columns(out / "trajectory.csv")
+    (out / "manifest.txt").write_text(json.dumps(dict(manifest, schema=schema)))
+    with pytest.raises(ConfigError, match=f"manifest has schema {schema}, not 4"):
+        cli.load_run(out)
+    capsys.readouterr()
+    assert cli.main(["check", str(out), "--mode", "ric"]) == cli.EXIT_USAGE
+    assert f"schema {schema}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["se2_single_rest", "so3_tc_cascade", "se3_steering_linear",
@@ -988,25 +1070,11 @@ def test_load_run_returns_the_config_of_each_scenario_file(tmp_path, name):
 
 
 def _with_aux_xi_columns(path):
-    """Give an SE(2) trajectory file aux.xi columns that repeat its xi text, as
-    schema-2 files of a velocity law have them."""
+    """Give an SE(2) trajectory file aux.xi columns that repeat its xi text."""
     head, *rows = path.read_text().splitlines()
     assert head.endswith(",xi0,xi1,xi2")
     path.write_text("\n".join([head + ",aux.xi0,aux.xi1,aux.xi2"]
                               + [row + "," + row.split(",", 5)[5] for row in rows]) + "\n")
-
-
-def test_schema_2_directory_reloads_its_aux_xi_columns(tmp_path):
-    out = _run_dir(tmp_path, RIC_SE2.format(t_end=0.1))
-    assert "aux.xi0" not in (out / "trajectory.csv").read_text().splitlines()[0]
-    loaded, manifest = cli.load_run(out)
-    assert manifest["aux_is_xi"] == ["xi"] and loaded.aux["xi"] is loaded.xi
-    _with_aux_xi_columns(out / "trajectory.csv")
-    del manifest["aux_is_xi"]
-    (out / "manifest.txt").write_text(json.dumps(dict(manifest, schema=2)))
-    old, _ = cli.load_run(out)
-    assert old.aux["xi"].tobytes() == old.xi.tobytes() == loaded.xi.tobytes()
-    assert old.g.tobytes() == loaded.g.tobytes() and old.times.tobytes() == loaded.times.tobytes()
 
 
 @pytest.mark.parametrize("change, columns, message", [

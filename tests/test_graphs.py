@@ -297,10 +297,25 @@ def test_repr_names_the_schedule_kind():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: CommGraph(0, [(0.0, [])]), "at least one agent"),
+    (lambda: CommGraph(0, [(0.0, [])]), "n: must be >= 1, not 0"),
     (lambda: CommGraph(2, []), "at least one segment"),
     (lambda: CommGraph.static(2, [(0, 1)]).algebraic_connectivity(), "static undirected"),
-], ids=["no-agents", "no-segments", "directed-connectivity"])
+    # each was truncated to an integer, or ended in a TypeError
+    (lambda: CommGraph(2.5, [(0.0, set())]), "n: must be an integer, not 2.5"),
+    (lambda: CommGraph.static(3, [(1.9, 0)]), "edge endpoint: must be an integer, not 1.9"),
+    (lambda: CommGraph.complete(2.0), "n: must be an integer, not 2.0"),
+    (lambda: CommGraph.ring(3.0), "n: must be an integer, not 3.0"),
+    (lambda: CommGraph.static(3, [(0, -1)]), "edge endpoint: must be >= 0, not -1"),
+], ids=["no-agents", "no-segments", "directed-connectivity", "fractional-agents",
+        "fractional-endpoint", "fractional-complete", "fractional-ring", "negative-endpoint"])
 def test_graph_input_errors_are_typed(call, message):
     with pytest.raises(GraphError, match=message):
         call()
+
+
+def test_graph_takes_numpy_and_json_integers():
+    # the edge sets of a config record are JSON lists, as from_record passes them
+    graph = CommGraph(np.int64(3), [(0.0, [(np.int32(1), np.uint8(0)), [2, 1]])])
+    assert graph.n == 3 and type(graph.n) is int
+    assert graph.edge_sets == (frozenset({(1, 0), (2, 1)}),)
+    assert all(type(v) is int for edge in graph.edge_sets[0] for v in edge)

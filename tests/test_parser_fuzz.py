@@ -6,13 +6,14 @@ section's own (and a few unknown ones), values come from a pool of valid and
 malformed tokens, and free-text lines are mixed in.  The pool holds no agent
 count above 3, so no draw builds a large graph.  Trajectory files are the
 header of an export, whole or cut, with aux columns appended (in and out of
-their layout), followed by rows of numbers or of any cells, read in blocks of
-the default size and of one row.  Metrics files are built the same way, their rows
+their layout), followed by rows of numbers or of any cells, read as the
+snapshots of an agent count that their rows fill or as any other small
+shape, in blocks of the default size and of one row.  Metrics files are built the same way, their rows
 starting with the trajectory's times or with others, and read through
 cli.load_run next to a valid trajectory file and manifest.  Manifests are a
 valid one with keys dropped and keys set to values from a pool, as JSON text,
-cut or whole, or free text; they are read through cli.load_run next to a
-valid trajectory file.  All runs are derandomized, so they are the same on
+cut or whole, or free text; they are read through cli.load_run next to
+valid trajectory and metrics files.  All runs are derandomized, so they are the same on
 every run.
 """
 
@@ -113,35 +114,38 @@ def test_read_trajectory_csv_raises_typed_errors_only(tmp_path, monkeypatch, gro
         ),
         max_size=6,
     ))
+    n_agents = data.draw(st.integers(1, 3))
+    samples = data.draw(st.one_of(st.just(len(rows) // n_agents), st.integers(0, 4)))
     path = tmp_path / "fuzz.csv"
     path.write_text("\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
     outcomes = []
     for block_rows in (CSV_BLOCK_ROWS, 1):      # in blocks of the default size, and of one row
         monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
         try:
-            times, g, xi, aux = read_trajectory_csv(path, group_name)
+            times, g, xi, aux = read_trajectory_csv(path, group_name, samples, n_agents)
         except TYPED as e:
             outcomes.append(type(e))
             continue
-        assert np.shape(times) == (g.shape[0],) and xi.shape[:2] == g.shape[:2]
+        assert times.shape == (samples,) and g.shape[:2] == xi.shape[:2] == (samples, n_agents)
         outcomes.append([a.tobytes() for a in (times, g, xi, *aux.values())])
     assert outcomes[0] == outcomes[1]
 
 
 _EVENT = {"t": 0.5, "kind": "blowup", "agent": None, "detail": "d", "count": 1}
 _MANIFEST_VALUES = st.one_of(
-    st.sampled_from([None, True, 0, 1, 2, 2.0, 3, -1, float("nan"), "", "se2", "so3", "SE2",
+    st.sampled_from([None, True, 0, 1, 2, 2.0, 3, 4, -1, float("nan"), "", "se2", "so3", "SE2",
                      "x", "xi", "completed", "aborted", [], {}, [1], [_EVENT], [[]],
                      ["xi"], ["eta"], ["xi", "eta"], ["xi", "xi"], ["xi", 1]]),
     st.lists(st.dictionaries(st.sampled_from(sorted(_EVENT) + ["x"]),
                              st.sampled_from([None, 0, 1.5, "blowup", [], {}]), max_size=6),
              max_size=2),
 )
-_MANIFEST_BASE = {"schema": 3, "group": "se2", "agents": 1, "config_hash": None,
+_MANIFEST_BASE = {"schema": 4, "group": "se2", "agents": 1, "samples": 3, "config_hash": None,
                   "config": None, "status": "completed", "events": [_EVENT],
                   "aux_is_xi": ["xi"]}
 _SE2_TRAJECTORY = "t,agent,x,y,theta,xi0,xi1,xi2\n" + "".join(
     f"{t},0,0,0,0,0,0,0\n" for t in (0.0, 0.5, 1.0))
+_SE2_METRICS = "t,V_r,V_l,V_tr,V_tl,V_k_0\n" + "".join(f"{t},0,0,0,0,0\n" for t in (0.0, 0.5, 1.0))
 
 
 @FUZZ
@@ -184,6 +188,7 @@ def test_load_run_manifest_raises_typed_errors_only(tmp_path, dropped, entries, 
     text = json.dumps(man)[:cut] if free is None else free
     (tmp_path / "manifest.txt").write_text(text)
     (tmp_path / "trajectory.csv").write_text(_SE2_TRAJECTORY)
+    (tmp_path / "metrics.csv").write_text(_SE2_METRICS)
     try:
         traj, _ = cli.load_run(tmp_path)
     except TYPED:

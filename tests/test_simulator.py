@@ -576,7 +576,7 @@ def test_csv_round_trip_exact(tmp_path):
     traj = run(cfg)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path)
-    times, g, xi, aux = read_trajectory_csv(path, "se3")
+    times, g, xi, aux = read_trajectory_csv(path, "se3", len(traj.times), 2)
     assert np.array_equal(times, traj.times)
     assert np.array_equal(xi, traj.xi)
     assert np.array_equal(aux["eta_v"], traj.aux["eta_v"])
@@ -587,26 +587,29 @@ def test_csv_round_trip_exact(tmp_path):
     assert header.endswith("xi0,xi1,xi2,xi3,xi4,xi5,aux.eta_v0,aux.eta_v1,aux.eta_v2")
 
 
+def _header_only_trajectory_csv(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(run(_cfg(t_end=0.02)), path)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return path
+
+
 def test_header_only_trajectory_csv_is_a_config_error(tmp_path):
-    cfg = _cfg(t_end=0.02)
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(run(cfg), path)
-    path.write_text(path.read_text().splitlines()[0] + "\n")
-    with pytest.raises(ConfigError, match="no rows"):
-        read_trajectory_csv(path, "se2")
+    # a manifest that counts samples, over a file that holds none
+    with pytest.raises(ConfigError, match="rows, not 9"):
+        read_trajectory_csv(_header_only_trajectory_csv(tmp_path), "se2", 3, 3)
 
 
-@pytest.mark.parametrize("n_agents", [0, -1, "3", True, 2.0])
-def test_header_only_trajectory_csv_needs_a_whole_agent_count(tmp_path, n_agents):
-    # the count comes from a manifest, which is outside input
-    cfg = _cfg(t_end=0.02)
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(run(cfg), path)
-    path.write_text(path.read_text().splitlines()[0] + "\n")
-    with pytest.raises(ConfigError, match="no rows"):
-        read_trajectory_csv(path, "se2", n_agents)
-    times, g, xi, _ = read_trajectory_csv(path, "se2", 2)
+def test_header_only_trajectory_csv_is_no_samples_of_the_given_agents(tmp_path):
+    times, g, xi, _ = read_trajectory_csv(_header_only_trajectory_csv(tmp_path), "se2", 0, 2)
     assert times.shape == (0,) and g.shape == (0, 2, 3) and xi.shape == (0, 2, 3)
+
+
+def _two_agent_cfg():
+    return _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
+
+
+_SHAPE = (3, 2)     # the samples and agents of a _two_agent_cfg run
 
 
 def _truncate_second_row(lines):
@@ -638,16 +641,15 @@ def _hash_in_a_cell(lines):
     (_hash_in_a_cell, "malformed trajectory row"),
 ])
 def test_malformed_trajectory_csv_is_a_config_error(tmp_path, monkeypatch, damage, message):
-    cfg = _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(run(cfg), path)
+    write_trajectory_csv(run(_two_agent_cfg()), path)
     lines = path.read_text().splitlines()
     damage(lines)
     path.write_text("\n".join(lines) + "\n")
     for block_rows in (CSV_BLOCK_ROWS, 1):      # in blocks of the default size, and of one row
         monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
         with pytest.raises(ConfigError, match=message):
-            read_trajectory_csv(path, "se2")
+            read_trajectory_csv(path, "se2", *_SHAPE)
 
 
 @pytest.mark.parametrize("aux_header", [
@@ -664,23 +666,23 @@ def test_aux_columns_out_of_layout_are_a_config_error(tmp_path, aux_header):
     path.write_text(f"t,agent,x,y,theta,xi0,xi1,xi2,{aux_header}\n"
                     + "".join(f"{t},0,{cells}\n" for t in (0, 1)))
     with pytest.raises(ConfigError, match="unexpected trajectory column"):
-        read_trajectory_csv(path, "se2")
+        read_trajectory_csv(path, "se2", 2, 1)
 
 
 def test_aux_columns_in_layout_reload_by_field(tmp_path):
     path = tmp_path / "trajectory.csv"
     path.write_text("t,agent,x,y,theta,xi0,xi1,xi2,aux.eta0,aux.eta1,aux.beta0,aux.x10\n"
                     "0,0,0,0,0,0,0,0,5,6,7,8\n")
-    _, _, _, aux = read_trajectory_csv(path, "se2")
+    _, _, _, aux = read_trajectory_csv(path, "se2", 1, 1)
     assert {k: v.tolist() for k, v in aux.items()} == {
         "eta": [[[5.0, 6.0]]], "beta": [[[7.0]]], "x1": [[[8.0]]]}
 
 
 def _read_without_the_last_row(tmp_path):
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(run(_cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)), path)
+    write_trajectory_csv(run(_two_agent_cfg()), path)
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-    return read_trajectory_csv(path, "se2")
+    return read_trajectory_csv(path, "se2", *_SHAPE)
 
 
 def _unsampled_run():
@@ -701,12 +703,20 @@ def _unsampled_run():
     (lambda tmp: run(_cfg(init=InitSpec(aux0={"eta": np.zeros((3, 3))}))),
      "no auxiliary state 'eta'"),
     (lambda tmp: simulator.left_translated(_cfg(), SE2.identity()), "explicit initial state"),
-    (_read_without_the_last_row, "not a whole number of snapshots"),
+    (_read_without_the_last_row, "trajectory has 5 rows, not 6"),
     (lambda tmp: _unsampled_run().final, "no recorded samples"),
     (lambda tmp: _unsampled_run().state(0), "no recorded samples"),
+    (lambda tmp: _cfg(h="0.001").validate(), "h: must be a number, not '0.001'"),
+    (lambda tmp: _cfg(t_end=None).validate(), "t_end: must be a number, not None"),
+    # it passed validate and ended the run at its first sample in a TypeError
+    (lambda tmp: _cfg(stop_metric="V_r", stop_below="x").validate(),
+     "stop_below: must be a number or None, not 'x'"),
+    (lambda tmp: _cfg(group=3).validate(), "group: must be a group name, not 3"),
+    (lambda tmp: _cfg(graph="ring").validate(), "graph: must be a CommGraph, not 'ring'"),
 ], ids=["stop-pair", "explicit-without-g0", "unknown-kind", "random-with-g0", "g0-count",
         "unknown-aux", "translate-random", "partial-snapshot", "final-of-no-samples",
-        "state-of-no-samples"])
+        "state-of-no-samples", "text-step", "no-end-time", "text-stop-level", "group-not-a-name",
+        "graph-not-a-graph"])
 def test_simulator_input_errors_are_typed(tmp_path, call, message):
     with pytest.raises(ConfigError, match=message):
         call(tmp_path)
@@ -716,7 +726,7 @@ def test_undecodable_trajectory_csv_is_a_config_error(tmp_path):
     path = tmp_path / "trajectory.csv"
     path.write_bytes(b"t,agent,x,y,theta,xi0,xi1,xi2\n0,0,\xff,0,0,0,0,0\n")
     with pytest.raises(ConfigError, match="malformed trajectory"):
-        read_trajectory_csv(path, "se2")
+        read_trajectory_csv(path, "se2", 1, 1)
 
 
 def _handle_fed_read_csv(path, what):
@@ -773,7 +783,7 @@ _DAMAGES = pytest.mark.parametrize("damage", [
 
 def _damaged_run_file(tmp_path, write, name, damage):
     path = tmp_path / name
-    write(run(_cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)), path)
+    write(run(_two_agent_cfg()), path)
     path.write_bytes(damage(path.read_bytes()))
     return path
 
@@ -793,9 +803,9 @@ def _by_block_size(monkeypatch, read, *args):
 def test_trajectory_block_reader_matches_the_handle_fed_parse(tmp_path, monkeypatch, damage):
     path = _damaged_run_file(tmp_path, write_trajectory_csv, "trajectory.csv", damage)
     parsed = _outcome(_handle_fed_read_csv, path, "trajectory")
-    got = _by_block_size(monkeypatch, read_trajectory_csv, path, "se2")
-    # each is the whole-file parse, split by snapshot
-    if parsed == "ConfigError":
+    got = _by_block_size(monkeypatch, read_trajectory_csv, path, "se2", *_SHAPE)
+    # each is the whole-file parse, split by snapshot, if it holds the rows the shape counts
+    if parsed == "ConfigError" or parsed[1][0][0] != _SHAPE[0] * _SHAPE[1]:
         assert got == "ConfigError"
     elif got != "ConfigError":
         data = np.frombuffer(parsed[1][1]).reshape(parsed[1][0])
@@ -810,11 +820,13 @@ def test_trajectory_block_reader_matches_the_handle_fed_parse(tmp_path, monkeypa
 def test_metrics_block_reader_matches_the_handle_fed_parse(tmp_path, monkeypatch, damage):
     path = _damaged_run_file(tmp_path, write_metrics_csv, "metrics.csv", damage)
     parsed = _outcome(_handle_fed_read_csv, path, "metrics")
+    if parsed != "ConfigError" and parsed[1][0][0] != _SHAPE[0]:
+        parsed = "ConfigError"      # a table of other than the manifest's rows
     if parsed != "ConfigError":
         # the whole-file parse, split into the columns of t, each V_* and V_k
         data = np.frombuffer(parsed[1][1]).reshape(parsed[1][0])
         parsed = [(c.shape, c.tobytes()) for c in (*data[:, :5].T, data[:, 5:])]
-    assert _by_block_size(monkeypatch, read_metrics_csv, path, 2) == parsed
+    assert _by_block_size(monkeypatch, read_metrics_csv, path, *_SHAPE) == parsed
 
 
 def test_metrics_reader_holds_little_besides_what_it_returns(tmp_path):
@@ -826,7 +838,7 @@ def test_metrics_reader_holds_little_besides_what_it_returns(tmp_path):
                       np.zeros((samples, n, 3)), {}, metrics, [], True)
     path = tmp_path / "metrics.csv"
     write_metrics_csv(traj, path)
-    (times, got), peak = traced_peak(lambda: read_metrics_csv(path, n))
+    (times, got), peak = traced_peak(lambda: read_metrics_csv(path, samples, n))
     assert times.tobytes() == traj.times.tobytes()
     assert all(got[name].tobytes() == metrics[name].tobytes() for name in metrics)
     assert peak < 1.75 * (times.nbytes + sum(a.nbytes for a in got.values()))
@@ -848,14 +860,27 @@ def _second_row_later_time(lines):
     (_second_row_later_time, "times differ"),
 ])
 def test_trajectory_csv_rows_must_follow_agent_order(tmp_path, damage, message):
-    cfg = _cfg(n_agents=2, graph=CommGraph.complete(2), t_end=0.02)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(run(cfg), path)
+    write_trajectory_csv(run(_two_agent_cfg()), path)
     lines = path.read_text().splitlines()
     damage(lines)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=message):
-        read_trajectory_csv(path, "se2")
+        read_trajectory_csv(path, "se2", *_SHAPE)
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["one-below", "one-above"])
+@pytest.mark.parametrize("read", [
+    lambda out, samples: read_trajectory_csv(out / "trajectory.csv", "se2", samples, _SHAPE[1]),
+    lambda out, samples: read_metrics_csv(out / "metrics.csv", samples, _SHAPE[1]),
+], ids=["trajectory", "metrics"])
+def test_a_table_of_other_than_the_given_samples_is_a_config_error(tmp_path, monkeypatch, read,
+                                                                   delta):
+    simulator.write_run(run(_two_agent_cfg()), tmp_path)
+    for block_rows in (CSV_BLOCK_ROWS, 1):      # in blocks of the default size, and of one row
+        monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
+        with pytest.raises(ConfigError, match="rows, not"):
+            read(tmp_path, _SHAPE[0] + delta)
 
 
 # The per-value writers the block writers replaced: one format() call per
@@ -967,7 +992,7 @@ def test_round_trip_over_several_blocks_is_bit_identical(tmp_path, monkeypatch, 
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path)
     assert path.read_bytes() == (tmp_path / "default.csv").read_bytes()
-    times, g, xi, aux = read_trajectory_csv(path, "se3", 5)
+    times, g, xi, aux = read_trajectory_csv(path, "se3", len(traj.times), 5)
     assert len(traj.times) * traj.n_agents > 3 * block_rows
     assert times.tobytes() == traj.times.tobytes()
     assert SE3.to_payload(g).tobytes() == SE3.to_payload(traj.g).tobytes()
@@ -993,23 +1018,27 @@ def test_trajectory_writer_holds_one_block_at_a_time(tmp_path):
 
 def test_trajectory_reader_holds_little_besides_what_it_returns(tmp_path):
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(_ring64_run(), path)
-    out, peak = traced_peak(lambda: read_trajectory_csv(path, "se3"))
+    traj = _ring64_run()
+    write_trajectory_csv(traj, path)
+    out, peak = traced_peak(lambda: read_trajectory_csv(path, "se3", len(traj.times), 64))
     kept = sum(a.nbytes for a in out[:3]) + sum(a.nbytes for a in out[3].values())
     assert peak < 1.25 * kept
 
 
-def test_blank_lines_do_not_size_the_reader(tmp_path):
-    # a million blank lines before one row: sized by its line ends alone, the
-    # reader traced a 183 MB peak for a million rows that hold nothing
+def test_the_manifest_row_count_sizes_the_reader(tmp_path):
+    # a million blank lines before one row are no rows: the reader is sized by
+    # the count it is given, and a count the file's bytes cannot hold (it
+    # comes from a manifest, which is outside input) allocates nothing
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(run(_cfg(group="se3", n_agents=1, controller="lic_consensus",
                                   graph=CommGraph.empty(1), t_end=1e-3)), path)
     header, row = path.read_bytes().splitlines(keepends=True)[:2]
     path.write_bytes(header + b"\n" * 1_000_000 + row)
-    (times, g, xi, aux), peak = traced_peak(lambda: read_trajectory_csv(path, "se3"))
+    (times, g, xi, aux), peak = traced_peak(lambda: read_trajectory_csv(path, "se3", 1, 1))
     assert times.tolist() == [0.0] and g.shape == (1, 1, 4, 4) and xi.shape == (1, 1, 6)
     assert peak < 10e6
+    with pytest.raises(ConfigError, match=r"at most \d+ rows, not 1000000000"):
+        traced_peak(lambda: read_trajectory_csv(path, "se3", 10**9, 1))
 
 
 def test_metrics_csv_header_and_manifest(tmp_path):
@@ -1023,9 +1052,9 @@ def test_metrics_csv_header_and_manifest(tmp_path):
     man = tmp_path / "manifest.txt"
     write_manifest(traj, man)
     parsed = read_manifest(man)
-    assert parsed["schema"] == 3
+    assert parsed["schema"] == 4
     assert parsed["group"] == "se2"
-    assert parsed["agents"] == 3
+    assert (parsed["agents"], parsed["samples"]) == (3, 11)
     assert parsed["status"] == "completed"
     assert parsed["config_hash"] == cfg.config_hash()
     assert read_manifest(man)["config"]["seed"] == 1
